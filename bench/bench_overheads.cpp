@@ -215,7 +215,9 @@ BM_SimThroughput(benchmark::State& state, const char* workload)
     // §9): workload generation, TieredMachine::access_batch, PEBS
     // drain, and the full policy decision cadence. items_per_second is
     // the headline number tracked in BENCH_hotpath.json and guarded by
-    // scripts/check_perf.sh.
+    // scripts/check_perf.sh. Every BM_SimThroughput* entry uses real
+    // time, so the gate reads wall-clock accesses per second rather
+    // than the main thread's CPU time.
     sim::RunSpec spec;
     spec.workload = workload;
     spec.policy = "artmem";
@@ -230,9 +232,11 @@ BM_SimThroughput(benchmark::State& state, const char* workload)
                             static_cast<std::int64_t>(spec.accesses));
 }
 BENCHMARK_CAPTURE(BM_SimThroughput, ycsb, "ycsb")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_SimThroughput, s2, "s2")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_SimThroughputTxOff(benchmark::State& state)
@@ -256,37 +260,9 @@ BM_SimThroughputTxOff(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(spec.accesses));
 }
-BENCHMARK(BM_SimThroughputTxOff)->Unit(benchmark::kMillisecond);
-
-void
-BM_SimThroughputSharded(benchmark::State& state, unsigned shards)
-{
-    // Sharded access pipeline (DESIGN.md §12): the same end-to-end run
-    // as BM_SimThroughput/ycsb but with the hot path partitioned
-    // across `shards` worker lanes plus the deterministic epoch merge.
-    // shards=1 measures the pipeline's fixed overhead (two-phase scan
-    // + merge, no extra threads); shards=4 adds the thread fan-out.
-    // Output is byte-identical to the legacy loop for every shard
-    // count, so the only thing these entries can regress is speed —
-    // both are gated in BENCH_hotpath.json.
-    sim::RunSpec spec;
-    spec.workload = "ycsb";
-    spec.policy = "artmem";
-    spec.ratio = {1, 4};
-    spec.accesses = 2000000;
-    spec.seed = 42;
-    spec.engine.shards = shards;
-    for (auto _ : state) {
-        const auto r = sim::run_experiment(spec);
-        benchmark::DoNotOptimize(r.fast_ratio);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(spec.accesses));
-}
-BENCHMARK_CAPTURE(BM_SimThroughputSharded, shards1, 1u)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimThroughputSharded, shards4, 4u)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimThroughputTxOff)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_SimThroughputTenants(benchmark::State& state, std::uint32_t tenants)
@@ -318,9 +294,11 @@ BM_SimThroughputTenants(benchmark::State& state, std::uint32_t tenants)
                             static_cast<std::int64_t>(spec.accesses));
 }
 BENCHMARK_CAPTURE(BM_SimThroughputTenants, tenants1, 1u)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_SimThroughputTenants, tenants16, 16u)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /** Prints the Section 6.4 summary around the google-benchmark run. */
 class OverheadReporter : public benchmark::ConsoleReporter

@@ -2,17 +2,15 @@
 # Perf-regression smoke for the batched hot path (DESIGN.md §9).
 #
 # Runs the end-to-end throughput benchmarks (bench_overheads --quick,
-# i.e. BM_SimThroughput at one short google-benchmark repetition) and
-# compares accesses/sec per workload against the committed baseline in
-# BENCH_hotpath.json. The tolerance is deliberately generous (a 30%
-# drop fails): CI machines are noisy, and this gate exists to catch
-# real regressions — an accidental O(n) slip or a de-inlined hot
-# function — without flaking on scheduler jitter.
-#
-# The baseline also carries BM_SimThroughputSharded entries (the
-# --shards pipeline, DESIGN.md §12); bench_overheads --quick filters on
-# the "BM_SimThroughput" prefix, which matches them automatically, so
-# they are gated here with no extra plumbing.
+# i.e. every BM_SimThroughput* entry at one short google-benchmark
+# repetition) and compares accesses/sec per entry against the committed
+# baseline in BENCH_hotpath.json. Every BM_SimThroughput* benchmark is
+# registered with UseRealTime(), so items_per_second is simulated
+# accesses per wall-clock second, never per main-thread CPU second. The
+# tolerance is deliberately generous (a 30% drop fails): CI machines are
+# noisy, and this gate exists to catch real regressions — an accidental
+# O(n) slip or a de-inlined hot function — without flaking on scheduler
+# jitter.
 #
 #   scripts/check_perf.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -43,8 +41,10 @@ TOLERANCE = 0.30
 with open(sys.argv[1]) as f:
     baseline = {b["name"]: b["items_per_second"]
                 for b in json.load(f)["benchmarks"]}
+# UseRealTime() makes google-benchmark append "/real_time" to each
+# name; the baseline keys stay the bare benchmark names.
 with open(sys.argv[2]) as f:
-    current = {b["name"]: b["items_per_second"]
+    current = {b["name"].removesuffix("/real_time"): b["items_per_second"]
                for b in json.load(f)["benchmarks"]}
 
 failed = False

@@ -161,11 +161,10 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
     // code that can observe machine state runs (trap handlers may
     // re-enter via migrate()/exchange()), which keeps every
     // intermediate state bit-identical to per-access access() calls.
-    // The per-access body lives in access_step() (header) so the
-    // sharded epoch walk replays the identical sequence.
+    // The per-access body lives in access_step() (header).
     std::uint8_t* const flags = flags_.data();
     const SimTimeNs lat[kTierCount] = {latency_[0], latency_[1]};
-    BatchCtx ctx{now_, {0, 0}, false};
+    BatchCtx ctx{now_, {0, 0}};
     for (std::size_t i = 0; i < n; ++i)
         access_step<kFaulted>(pages[i], flags, lat, ctx, sampler,
                               pebs_suppressed);

@@ -602,17 +602,6 @@ class TieredMachine
      *  (tests/test_verify.cpp). Never defined in the library. */
     friend struct MachineTestPeer;
 
-    /** The sharded access engine (memsim/sharded_access.hpp) is the
-     *  machine's parallel front end: its ownership scan writes owned
-     *  pages' flag bytes, its serial epoch walk replays the exact
-     *  access_step() sequence, and its parallel per-lane merge charges
-     *  each lane's latency into a private accumulator before folding
-     *  the lanes into these counters in fixed shard order at batch and
-     *  decision boundaries — so it needs the same view of the flag
-     *  word, clock, and counters the batch loop has. Either path is
-     *  byte-identical to the unsharded loop. */
-    friend class ShardedAccessEngine;
-
     static constexpr std::uint8_t kTierBit = 0x1;       // 0 fast, 1 slow
     static constexpr std::uint8_t kAllocatedBit = 0x2;
     static constexpr std::uint8_t kAccessedBit = 0x4;
@@ -636,20 +625,14 @@ class TieredMachine
     struct BatchCtx {
         SimTimeNs now;
         std::uint64_t acc[kTierCount];
-        /** Set when a trap handler was actually invoked; the sharded
-         *  epoch walk switches to the legacy per-access tail because
-         *  the handler may have migrated pages mid-batch. */
-        bool handler_ran;
     };
 
     /**
      * One access of the engine's scalar sequence: allocate on first
      * touch, charge latency, set the accessed bit, run the tx hook,
      * fire a trap, then sample. This is the single source of truth for
-     * per-access semantics — batch_loop() iterates it and the sharded
-     * epoch walk (memsim/sharded_access.cpp) replays it for special
-     * accesses and legacy tails — so the scalar oracle, the batched
-     * path, and the sharded path cannot drift apart.
+     * per-access semantics: batch_loop() iterates it, so the batched
+     * path cannot drift from the scalar oracle it is checked against.
      *
      * @p flags and @p lat are the caller-hoisted flags base pointer and
      * tier-latency pair (hot-path shape; see batch_loop).
@@ -693,7 +676,6 @@ class TieredMachine
                 ctx.acc[0] = ctx.acc[1] = 0;
                 fault_handler_(page, tier);
                 ctx.now = now_;
-                ctx.handler_ran = true;
             }
         }
         if constexpr (kFaulted) {

@@ -42,14 +42,11 @@ parse_tx_cli(const CliArgs& args)
 {
     memsim::TxConfig tx;
     tx.enabled = args.get_bool("tx-migration", false);
-    static constexpr std::string_view kKnown[] = {
-        "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight",
-        "tx-exclusive"};
     for (const auto& name : args.flag_names()) {
         if (name.rfind("tx-", 0) != 0)
             continue;
         bool known = false;
-        for (const auto k : kKnown)
+        for (const auto k : kTxFlags)
             known = known || name == k;
         if (!known) {
             fatal("unknown transactional-migration flag --", name,
@@ -104,10 +101,7 @@ run_experiment(const RunSpec& spec, policies::Policy& policy)
             spec.tenancy, *set, machine.page_count(),
             machine_config.fast_capacity_pages()));
     }
-    sim::EngineConfig engine = spec.engine;
-    if (engine.shards > 0 && engine.shard_seed == 0)
-        engine.shard_seed = spec.seed;
-    return run_simulation(workload, policy, machine, engine);
+    return run_simulation(workload, policy, machine, spec.engine);
 }
 
 }  // namespace artmem::sim

@@ -75,6 +75,11 @@ struct RunSpec {
     tenancy::TenancyConfig tenancy;
 };
 
+/** Every flag parse_tx_cli() reads. */
+inline constexpr std::string_view kTxFlags[] = {
+    "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight",
+    "tx-exclusive"};
+
 /**
  * Parse the transactional-migration flags shared by the CLI and the
  * bench harnesses: --tx-migration plus the --tx-seed, --tx-write-ratio,

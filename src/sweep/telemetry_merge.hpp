@@ -4,7 +4,7 @@
  *
  * Each sweep job is single-threaded and owns one telemetry::Telemetry
  * bundle (carried back in sim::RunResult::telemetry). These helpers
- * fold the per-job shards into one artifact strictly in job-index
+ * fold the per-job bundles into one artifact strictly in job-index
  * order, so the merged output is bit-identical between --jobs 1 and
  * --jobs N — the same contract the result tables already honour.
  */

@@ -6,7 +6,7 @@
  * Determinism contract: a registry is a single-threaded shard. Every
  * simulation job owns exactly one (created per run by the engine), so
  * updates are plain unsynchronized increments — the lock-free fast
- * path. Parallel sweeps merge the per-job shards *in job order* after
+ * path. Parallel sweeps merge the per-job registries *in job order* after
  * all jobs finish, and every emission walks metrics in registration
  * order, so `--jobs N` output is byte-identical to `--jobs 1`.
  *
@@ -78,7 +78,7 @@ class MetricsRegistry
     /**
      * Merge another shard into this one. Metrics are matched by name;
      * names unknown here are appended in @p shard's registration order,
-     * so merging shards in job order yields one deterministic registry.
+     * so merging registries in job order yields one deterministic registry.
      * Counters add, gauges merge their OnlineStats (taking the shard's
      * last value when it has one), histogram buckets add bucket-wise
      * (panic on mismatched bounds).

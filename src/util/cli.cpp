@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -27,6 +28,28 @@ CliArgs::parse(int argc, char** argv)
         }
     }
     return args;
+}
+
+void
+CliArgs::require_known(
+    std::initializer_list<std::span<const std::string_view>> known) const
+{
+    for (const auto& [name, value] : flags_) {
+        const bool found =
+            std::any_of(known.begin(), known.end(), [&](const auto& set) {
+                return std::find(set.begin(), set.end(), name) != set.end();
+            });
+        if (found)
+            continue;
+        std::string list;
+        for (const auto& set : known) {
+            for (const std::string_view flag : set) {
+                list += " --";
+                list += flag;
+            }
+        }
+        fatal("unknown flag --", name, " (known flags:", list, ")");
+    }
 }
 
 bool

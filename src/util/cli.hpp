@@ -6,8 +6,11 @@
 #ifndef ARTMEM_UTIL_CLI_HPP
 #define ARTMEM_UTIL_CLI_HPP
 
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace artmem {
@@ -16,8 +19,16 @@ namespace artmem {
 class CliArgs
 {
   public:
-    /** Parse argv; unknown flags are kept (harnesses share flag sets). */
+    /** Parse argv; unknown flags are kept until require_known(). */
     static CliArgs parse(int argc, char** argv);
+
+    /**
+     * fatal() naming the first given flag that appears in none of
+     * @p known, so a typo or a retired flag never silently runs the
+     * default configuration. Each entry point passes its full flag set.
+     */
+    void require_known(
+        std::initializer_list<std::span<const std::string_view>> known) const;
 
     /** True if --name was given (with or without a value). */
     bool has(const std::string& name) const;

@@ -77,6 +77,19 @@ TraceReplay::TraceReplay(const std::string& path)
         fatal("TraceReplay: not an ArtMem trace: ", path);
     if (header.version != kVersion)
         fatal("TraceReplay: unsupported version ", header.version);
+    if (header.page_size_log2 >= 64)
+        fatal("TraceReplay: page_size_log2 ", header.page_size_log2,
+              " out of range (must be < 64): ", path);
+    // Check the claimed count against the bytes actually present before
+    // allocating, so a corrupt count is a diagnostic, not a huge resize.
+    in.seekg(0, std::ios::end);
+    const auto payload =
+        static_cast<std::uint64_t>(in.tellg()) - sizeof(Header);
+    in.seekg(sizeof(Header), std::ios::beg);
+    if (header.count > payload / sizeof(PageId))
+        fatal("TraceReplay: header claims ", header.count,
+              " accesses but only ", payload / sizeof(PageId),
+              " fit in the file: ", path);
     footprint_ = header.footprint;
     page_size_ = Bytes{1} << header.page_size_log2;
     accesses_.resize(header.count);
@@ -84,6 +97,14 @@ TraceReplay::TraceReplay(const std::string& path)
             static_cast<std::streamsize>(header.count * sizeof(PageId)));
     if (!in)
         fatal("TraceReplay: truncated trace: ", path);
+    const std::uint64_t pages = footprint_ / page_size_ +
+                                (footprint_ % page_size_ != 0 ? 1 : 0);
+    for (std::size_t i = 0; i < accesses_.size(); ++i) {
+        if (accesses_[i] >= pages)
+            fatal("TraceReplay: page id ", accesses_[i], " at byte offset ",
+                  sizeof(Header) + i * sizeof(PageId),
+                  " is outside the ", pages, "-page footprint: ", path);
+    }
 }
 
 std::size_t

@@ -58,6 +58,19 @@ struct SkewCase {
     double max_top_decile_share;
 };
 
+/**
+ * gtest's --gtest_list_tests comment (and so the ctest name) prints the
+ * parameter; without this it would dump the raw bytes, including the
+ * ASLR-dependent address of `workload`, making test names unstable
+ * across builds.
+ */
+void
+PrintTo(const SkewCase& c, std::ostream* os)
+{
+    *os << c.workload << ' ' << c.min_top_decile_share << '-'
+        << c.max_top_decile_share;
+}
+
 class WorkloadSkew : public ::testing::TestWithParam<SkewCase>
 {
 };

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "../bench/bench_common.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -82,6 +83,19 @@ TEST(Rng, ForkIsIndependent)
     Rng parent(11);
     Rng child = parent.fork();
     EXPECT_NE(parent.next(), child.next());
+}
+
+TEST(SeedDomains, JobDomainIsTheLegacyStreamExactly)
+{
+    // Sweep goldens pin the legacy two-argument stream; the namespaced
+    // overload must reproduce it bit-for-bit under kJob.
+    for (const std::uint64_t base : {0ull, 42ull, 0xdeadbeefull,
+                                     0x9e3779b97f4a7c15ull}) {
+        for (std::uint64_t i = 0; i < 256; ++i)
+            ASSERT_EQ(derive_seed(base, SeedDomain::kJob, i),
+                      derive_seed(base, i))
+                << "base=" << base << " i=" << i;
+    }
 }
 
 TEST(ByteLiterals, ScaleCorrectly)
@@ -161,7 +175,7 @@ TEST(OnlineStats, MergeEmptyIntoPopulatedIsNoop)
 {
     // An accumulator that never saw a sample carries zero-initialized
     // min/max; merging it must not pull an all-negative population's
-    // extrema toward 0 (telemetry gauges merge empty shards routinely).
+    // extrema toward 0 (telemetry merges empty per-job gauges routinely).
     OnlineStats a, empty;
     a.add(-3.0);
     a.add(-1.0);
@@ -278,6 +292,24 @@ TEST(CliArgs, ParsesAllForms)
     EXPECT_EQ(args.positional()[0], "positional");
     EXPECT_FALSE(args.has("missing"));
     EXPECT_EQ(args.get_int("missing", 9), 9);
+}
+
+TEST(CliArgs, RequireKnownNamesTheUnknownFlag)
+{
+    const char* argv[] = {"prog", "--workload=ycsb", "--bogus=3"};
+    const auto args = CliArgs::parse(3, const_cast<char**>(argv));
+    static constexpr std::string_view kKnown[] = {"workload"};
+    EXPECT_EXIT(args.require_known({kKnown}), ::testing::ExitedWithCode(1),
+                "unknown flag --bogus \\(known flags: --workload\\)");
+}
+
+TEST(CliArgs, RetiredShardsFlagIsFatal)
+{
+    // --shards and --merge were removed with the in-run sharding
+    // pipeline; a stale invocation must fail, not silently run.
+    const char* argv[] = {"bench", "--jobs=2", "--shards=4"};
+    EXPECT_EXIT(bench::BenchOptions::parse(3, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(1), "unknown flag --shards");
 }
 
 }  // namespace

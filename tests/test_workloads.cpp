@@ -413,6 +413,56 @@ TEST(Trace, ReplayRejectsGarbage)
     EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1), "");
 }
 
+/** Write a trace file with a hand-crafted header and page-id payload. */
+std::string
+write_crafted_trace(const std::string& name, std::uint32_t page_size_log2,
+                    std::uint64_t footprint, std::uint64_t count,
+                    const std::vector<PageId>& pages)
+{
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream out(path, std::ios::binary);
+    const std::uint32_t version = 1;
+    out.write("ARTMEMTR", 8);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&page_size_log2),
+              sizeof(page_size_log2));
+    out.write(reinterpret_cast<const char*>(&footprint), sizeof(footprint));
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(pages.data()),
+              static_cast<std::streamsize>(pages.size() * sizeof(PageId)));
+    return path;
+}
+
+TEST(Trace, ReplayRejectsCountBeyondFileSize)
+{
+    // count = 2^61 used to reach vector::resize and throw
+    // std::length_error; the size check must reject it first.
+    const auto path = write_crafted_trace(
+        "artmem_huge_count.bin", 21, 4 * kPage, 1ull << 61, {0, 1});
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "header claims 2305843009213693952 accesses but only 2 fit");
+}
+
+TEST(Trace, ReplayRejectsOversizedPageShift)
+{
+    // 1 << 70 is undefined behaviour; the header must be rejected.
+    const auto path = write_crafted_trace("artmem_big_shift.bin", 70,
+                                          4 * kPage, 1, {0});
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "page_size_log2 70 out of range");
+}
+
+TEST(Trace, ReplayRejectsPageBeyondFootprint)
+{
+    // Page 4 of a 4-page footprint is the third access: header (32
+    // bytes) + 2 * 4 bytes puts it at byte offset 40.
+    const auto path = write_crafted_trace("artmem_bad_page.bin", 21,
+                                          4 * kPage, 3, {0, 3, 4});
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "page id 4 at byte offset 40 is outside the 4-page "
+                "footprint");
+}
+
 TEST(Simple, UniformCoversSpace)
 {
     UniformRandom gen(16 * kPage, kPage, 16000, 3);

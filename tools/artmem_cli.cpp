@@ -13,7 +13,8 @@
  *   artmem trace-record --workload=s1 --out=s1.trace
  *   artmem trace-run --trace=s1.trace --policy=memtis
  *
- * Common flags: --accesses=N --seed=N --csv --json
+ * Common flags: --accesses=N --seed=N (--csv --json: sweep)
+ * Every subcommand fatal()s on a flag it does not read.
  * Observability (run and sweep; DESIGN.md section 8):
  *   --metrics-out=FILE --trace-out=BASE --trace-categories=LIST --profile
  */
@@ -38,6 +39,16 @@ namespace {
 using namespace artmem;
 
 constexpr Bytes kPage = 2ull << 20;
+
+/** Flags parse_spec() reads itself (it also takes the tx and tenancy
+ *  sets, sim::kTxFlags and tenancy::kTenancyFlags). */
+constexpr std::string_view kSpecFlags[] = {
+    "workload",       "policy",       "ratio",      "accesses", "seed",
+    "check-invariants", "fault-scenario", "fault-config", "fault-seed"};
+
+/** Flags parse_telemetry() reads. */
+constexpr std::string_view kTelemetryFlags[] = {
+    "metrics-out", "trace-out", "trace-categories", "profile"};
 
 sim::RatioSpec
 parse_ratio(const CliArgs& args)
@@ -66,21 +77,6 @@ parse_spec(const CliArgs& args)
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     spec.engine.check_invariants =
         args.get_bool("check-invariants", false);
-    // Sharded access pipeline; 0 = legacy loop, N = N-shard epoch
-    // pipeline. Byte-identical output for every value (DESIGN.md §12).
-    spec.engine.shards =
-        static_cast<unsigned>(args.get_int("shards", 0));
-    // Phase-2 merge flavour for sharded runs: "parallel" (default)
-    // runs per-lane accumulators with a deterministic fold,
-    // "serial" keeps the serial epoch walk as the oracle/escape
-    // hatch. Byte-identical either way (CI diffs them).
-    const std::string merge = args.get_string("merge", "parallel");
-    if (merge == "parallel")
-        spec.engine.parallel_merge = true;
-    else if (merge == "serial")
-        spec.engine.parallel_merge = false;
-    else
-        fatal("--merge must be 'parallel' or 'serial', got '", merge, "'");
 
     // Fault model: a built-in scenario or a fault.* config file.
     const std::string scenario = args.get_string("fault-scenario", "");
@@ -250,8 +246,9 @@ print_result(const sim::RunResult& r, const sim::RunSpec& spec)
 }
 
 int
-cmd_list()
+cmd_list(const CliArgs& args)
 {
+    args.require_known({});
     std::cout << "workloads:";
     for (auto w : workloads::workload_names())
         std::cout << " " << w;
@@ -268,6 +265,9 @@ cmd_list()
 int
 cmd_run(const CliArgs& args)
 {
+    static constexpr std::string_view kRunFlags[] = {"timeline", "qtables"};
+    args.require_known({kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags,
+                        kTelemetryFlags, kRunFlags});
     auto spec = parse_spec(args);
     spec.engine.record_timeline = args.get_bool("timeline", false);
     TelemetryOutputs touts;
@@ -312,6 +312,10 @@ cmd_run(const CliArgs& args)
 int
 cmd_sweep(const CliArgs& args)
 {
+    static constexpr std::string_view kSweepFlags[] = {
+        "jobs", "derive-seeds", "csv", "json"};
+    args.require_known({kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags,
+                        kTelemetryFlags, kSweepFlags});
     auto spec = parse_spec(args);
     TelemetryOutputs touts;
     spec.engine.telemetry = parse_telemetry(args, touts);
@@ -363,6 +367,9 @@ cmd_sweep(const CliArgs& args)
 int
 cmd_train(const CliArgs& args)
 {
+    static constexpr std::string_view kOutFlag[] = {"out"};
+    args.require_known(
+        {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kOutFlag});
     auto spec = parse_spec(args);
     const std::string out_path = args.get_string("out", "qtables.txt");
     core::ArtMemConfig cfg;
@@ -381,6 +388,9 @@ cmd_train(const CliArgs& args)
 int
 cmd_trace_record(const CliArgs& args)
 {
+    static constexpr std::string_view kOutFlag[] = {"out"};
+    args.require_known(
+        {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kOutFlag});
     auto spec = parse_spec(args);
     const std::string out = args.get_string("out", spec.workload + ".trace");
     auto inner = workloads::make_workload(spec.workload, kPage,
@@ -397,6 +407,9 @@ cmd_trace_record(const CliArgs& args)
 int
 cmd_trace_run(const CliArgs& args)
 {
+    static constexpr std::string_view kTraceFlag[] = {"trace"};
+    args.require_known(
+        {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kTraceFlag});
     const std::string path = args.get_string("trace", "");
     if (path.empty())
         fatal("trace-run requires --trace=<file>");
@@ -408,10 +421,6 @@ cmd_trace_run(const CliArgs& args)
     auto policy = sim::make_policy(spec.policy, spec.seed);
     sim::EngineConfig engine;
     engine.tx = spec.engine.tx;
-    engine.shards = spec.engine.shards;
-    engine.parallel_merge = spec.engine.parallel_merge;
-    if (engine.shards > 0)
-        engine.shard_seed = spec.seed;
     const auto r = sim::run_simulation(replay, *policy, machine, engine);
     spec.workload = "trace:" + path;
     print_result(r, spec);
@@ -433,11 +442,6 @@ main(int argc, char** argv)
                "--json\n"
                "       --jobs=N --derive-seeds (sweep: parallel workers / "
                "per-job seed streams)\n"
-               "       --shards=N (shard the access hot path across N "
-               "threads; byte-identical for every N, like --jobs)\n"
-               "       --merge=<parallel|serial> (phase-2 merge for "
-               "sharded runs; parallel is default, serial is the "
-               "oracle; byte-identical either way)\n"
                "       --fault-scenario=<none|migration|degrade|blackout|"
                "pressure|abort_storm> --fault-config=<file> --fault-seed=N\n"
                "       --tx-migration (transactional copy-then-commit "
@@ -462,7 +466,7 @@ main(int argc, char** argv)
     }
     const std::string& command = args.positional()[0];
     if (command == "list")
-        return cmd_list();
+        return cmd_list(args);
     if (command == "run")
         return cmd_run(args);
     if (command == "sweep")
