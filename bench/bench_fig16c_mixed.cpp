@@ -7,8 +7,8 @@
  * system by ~11% on average thanks to accurate page classification.
  */
 #include "bench_common.hpp"
+#include "tenancy/tenant_set.hpp"
 #include "workloads/factory.hpp"
-#include "workloads/mixer.hpp"
 
 namespace {
 
@@ -18,12 +18,16 @@ std::unique_ptr<workloads::AccessGenerator>
 make_mix(const std::vector<std::string>& names, Bytes page,
          std::uint64_t accesses, std::uint64_t seed)
 {
+    // Co-running processes: stacked address spaces, interleaved in equal
+    // 256-access quanta.
     std::vector<std::unique_ptr<workloads::AccessGenerator>> children;
     for (std::size_t i = 0; i < names.size(); ++i) {
         children.push_back(workloads::make_workload(
             names[i], page, accesses / names.size(), seed + i));
     }
-    return std::make_unique<workloads::Mixer>(std::move(children), page);
+    std::vector<std::size_t> weights(children.size(), 1);
+    return std::make_unique<tenancy::TenantSet>(
+        std::move(children), std::move(weights), page, 256, 0);
 }
 
 }  // namespace

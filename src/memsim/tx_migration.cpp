@@ -1,7 +1,5 @@
 #include "memsim/tx_migration.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -25,32 +23,6 @@ TxConfig::validate() const
         fatal("TxConfig: write_ratio must be in [0,1], got ", write_ratio);
     if (max_inflight == 0)
         fatal("TxConfig: max_inflight must be positive");
-}
-
-TxConfig
-parse_tx_config(const KvConfig& config)
-{
-    TxConfig tc;
-    static const char* kKnown[] = {
-        "tx.enabled",     "tx.seed",          "tx.write_ratio",
-        "tx.max_inflight", "tx.non_exclusive",
-    };
-    for (const auto& key : config.keys()) {
-        const bool known =
-            std::find_if(std::begin(kKnown), std::end(kKnown),
-                         [&](const char* k) { return key == k; }) !=
-            std::end(kKnown);
-        if (!known)
-            fatal("tx config: unknown key '", key, "'");
-    }
-    tc.enabled = config.get_bool("tx.enabled", false);
-    tc.seed = static_cast<std::uint64_t>(config.get_int("tx.seed", 1));
-    tc.write_ratio = config.get_double("tx.write_ratio", 0.0);
-    tc.max_inflight = static_cast<std::size_t>(
-        config.get_int("tx.max_inflight", 64));
-    tc.non_exclusive = config.get_bool("tx.non_exclusive", true);
-    tc.validate();
-    return tc;
 }
 
 bool

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "memsim/tier.hpp"
-#include "util/config.hpp"
 #include "util/types.hpp"
 
 namespace artmem::memsim {
@@ -56,13 +55,6 @@ struct TxConfig {
     /** fatal() on out-of-range rates or a zero in-flight table. */
     void validate() const;
 };
-
-/**
- * Parse a TxConfig from "tx.*" keys of a KvConfig. Unknown
- * "tx."-prefixed keys (and any other key, which would indicate the
- * wrong file was passed) produce a fatal() naming the offending key.
- */
-TxConfig parse_tx_config(const KvConfig& config);
 
 /**
  * Runtime state of the transactional engine; owned by TieredMachine

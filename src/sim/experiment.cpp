@@ -42,18 +42,9 @@ parse_tx_cli(const CliArgs& args)
 {
     memsim::TxConfig tx;
     tx.enabled = args.get_bool("tx-migration", false);
-    for (const auto& name : args.flag_names()) {
-        if (name.rfind("tx-", 0) != 0)
-            continue;
-        bool known = false;
-        for (const auto k : kTxFlags)
-            known = known || name == k;
-        if (!known) {
-            fatal("unknown transactional-migration flag --", name,
-                  " (known: --tx-migration --tx-seed --tx-write-ratio "
-                  "--tx-max-inflight --tx-exclusive)");
-        }
-        if (!tx.enabled && name != "tx-migration")
+    for (const auto name : kTxFlags) {
+        if (!tx.enabled && name != "tx-migration" &&
+            args.has(std::string(name)))
             fatal("--", name, " requires --tx-migration");
     }
     if (!tx.enabled)

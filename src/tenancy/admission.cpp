@@ -9,14 +9,6 @@ namespace artmem::tenancy {
 
 namespace {
 
-/** Grants every request; the no-op baseline of the bench matrix. */
-class AllowAllAdmission final : public memsim::AdmissionController
-{
-  public:
-    std::string_view name() const override { return "allow_all"; }
-    bool admit(std::uint32_t, memsim::Tier) override { return true; }
-};
-
 /** Fixed per-tenant grant budget, refilled every decision interval. */
 class StaticRateAdmission final : public memsim::AdmissionController
 {
@@ -113,7 +105,7 @@ class FeedbackAdmission final : public memsim::AdmissionController
 std::vector<std::string_view>
 admission_names()
 {
-    return {"none", "allow_all", "static", "feedback"};
+    return {"none", "static", "feedback"};
 }
 
 std::unique_ptr<memsim::AdmissionController>
@@ -122,15 +114,13 @@ make_admission(std::string_view name, std::uint32_t tenants,
 {
     if (name == "none")
         return nullptr;
-    if (name == "allow_all")
-        return std::make_unique<AllowAllAdmission>();
     if (name == "static")
         return std::make_unique<StaticRateAdmission>(tenants, rate);
     if (name == "feedback")
         return std::make_unique<FeedbackAdmission>(tenants, target,
                                                    max_grants);
     fatal("unknown admission policy '", name,
-          "' (known: none allow_all static feedback)");
+          "' (known: none static feedback)");
 }
 
 }  // namespace artmem::tenancy

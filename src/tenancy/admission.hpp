@@ -6,8 +6,6 @@
  * it on every fast-tier migration attempt); the concrete policies live
  * here in the tenancy layer:
  *
- *  - allow_all:  grants everything; isolates the cost of the quota
- *                checks themselves in A/B runs.
  *  - static:     a fixed per-tenant grant budget per decision interval,
  *                the classical rate limiter.
  *  - feedback:   TierBPF-style AIMD on the ledger's decision-window
@@ -16,7 +14,7 @@
  *                aggregate get their budgets halved; everyone else
  *                recovers additively.
  *
- * All three are pure functions of the call sequence and the ledger's
+ * Both are pure functions of the call sequence and the ledger's
  * deterministic counters (no clocks, no unseeded draws), so a
  * multi-tenant run stays byte-identical across --jobs.
  */

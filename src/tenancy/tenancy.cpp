@@ -60,8 +60,8 @@ TenancyConfig::validate() const
         // mislead an experiment; refuse them outright.
         const bool knobs = !mix.empty() || !weights.empty() ||
                            quantum != 256 || phase_stride != 0 ||
-                           quota_pages != 0 || quota_share != 0.0 ||
-                           admission != "none" || admission_rate != 64 ||
+                           quota_share != 0.0 || admission != "none" ||
+                           admission_rate != 64 ||
                            admission_target != 0.5 || admission_max != 256;
         if (knobs)
             fatal("tenancy: quota/mix/admission knobs require "
@@ -84,10 +84,9 @@ parse_tenancy_config(const KvConfig& config)
     static const char* kKnown[] = {
         "tenancy.tenants",        "tenancy.mix",
         "tenancy.weights",        "tenancy.quantum",
-        "tenancy.phase_stride",   "tenancy.quota_pages",
-        "tenancy.quota_share",    "tenancy.admission",
-        "tenancy.admission_rate", "tenancy.admission_target",
-        "tenancy.admission_max",
+        "tenancy.phase_stride",   "tenancy.quota_share",
+        "tenancy.admission",      "tenancy.admission_rate",
+        "tenancy.admission_target", "tenancy.admission_max",
     };
     for (const auto& key : config.keys()) {
         if (key.rfind("tenancy.", 0) != 0)
@@ -107,8 +106,6 @@ parse_tenancy_config(const KvConfig& config)
         config.get_int("tenancy.quantum", 256));
     tc.phase_stride = static_cast<std::uint64_t>(
         config.get_int("tenancy.phase_stride", 0));
-    tc.quota_pages = static_cast<std::size_t>(
-        config.get_int("tenancy.quota_pages", 0));
     tc.quota_share = config.get_double("tenancy.quota_share", 0.0);
     tc.admission = config.get_string("tenancy.admission", "none");
     tc.admission_rate = static_cast<std::uint64_t>(
@@ -123,20 +120,6 @@ parse_tenancy_config(const KvConfig& config)
 TenancyConfig
 parse_tenancy_cli(const CliArgs& args)
 {
-    for (const auto& name : args.flag_names()) {
-        if (name.rfind("tenant", 0) != 0 &&
-            name.rfind("admission", 0) != 0)
-            continue;
-        bool known = false;
-        for (const auto k : kTenancyFlags)
-            known = known || name == k;
-        if (!known)
-            fatal("unknown tenancy flag --", name,
-                  " (known: --tenants --tenant-config --tenant-quota "
-                  "--tenant-quota-share --tenant-mix --tenant-weights "
-                  "--tenant-quantum --tenant-phase-stride --admission "
-                  "--admission-rate --admission-target --admission-max)");
-    }
     TenancyConfig tc;
     if (args.has("tenant-config"))
         tc = parse_tenancy_config(
@@ -151,8 +134,6 @@ parse_tenancy_cli(const CliArgs& args)
         args.get_int("tenant-quantum", static_cast<long long>(tc.quantum)));
     tc.phase_stride = static_cast<std::uint64_t>(args.get_int(
         "tenant-phase-stride", static_cast<long long>(tc.phase_stride)));
-    tc.quota_pages = static_cast<std::size_t>(args.get_int(
-        "tenant-quota", static_cast<long long>(tc.quota_pages)));
     tc.quota_share =
         args.get_double("tenant-quota-share", tc.quota_share);
     tc.admission = args.get_string("admission", tc.admission);
@@ -203,9 +184,7 @@ make_tenant_ledger(const TenancyConfig& config, const TenantSet& set,
     auto ledger = std::make_unique<memsim::TenantLedger>(
         set.tenant_count(), total_pages);
     std::size_t quota = memsim::TenantLedger::kNoQuota;
-    if (config.quota_pages > 0)
-        quota = config.quota_pages;
-    else if (config.quota_share > 0.0)
+    if (config.quota_share > 0.0)
         quota = std::max<std::size_t>(
             1, static_cast<std::size_t>(
                    static_cast<double>(fast_pages) * config.quota_share));

@@ -43,16 +43,11 @@ struct TenancyConfig {
     /** Tenant i discards i * phase_stride leading accesses. */
     std::uint64_t phase_stride = 0;
     /**
-     * Per-tenant fast-tier quota in pages; 0 = derive from quota_share,
-     * and if that is also unset, unlimited.
-     */
-    std::size_t quota_pages = 0;
-    /**
-     * Per-tenant quota as a fraction of fast-tier capacity in (0, 1];
-     * 0 = unset. Ignored when quota_pages is given.
+     * Per-tenant fast-tier quota as a fraction of fast-tier capacity in
+     * (0, 1]; 0 = unlimited.
      */
     double quota_share = 0.0;
-    /** Admission policy: none | allow_all | static | feedback. */
+    /** Admission policy: none | static | feedback. */
     std::string admission = "none";
     /** Per-tenant grants per decision interval ("static"). */
     std::uint64_t admission_rate = 64;
@@ -71,30 +66,29 @@ struct TenancyConfig {
 /**
  * Parse a TenancyConfig from "tenancy.*" keys of a KvConfig
  * (tenancy.tenants, tenancy.mix, tenancy.weights, tenancy.quantum,
- * tenancy.phase_stride, tenancy.quota_pages, tenancy.quota_share,
- * tenancy.admission, tenancy.admission_rate, tenancy.admission_target,
+ * tenancy.phase_stride, tenancy.quota_share, tenancy.admission,
+ * tenancy.admission_rate, tenancy.admission_target,
  * tenancy.admission_max). Unknown "tenancy."-prefixed keys fatal();
  * keys outside the prefix are ignored so the section can share a file
- * with fault.* / tx.* sections.
+ * with a fault.* section.
  */
 TenancyConfig parse_tenancy_config(const KvConfig& config);
 
 /** Every flag parse_tenancy_cli() reads. */
 inline constexpr std::string_view kTenancyFlags[] = {
-    "tenants",         "tenant-config",       "tenant-quota",
-    "tenant-quota-share", "tenant-mix",       "tenant-weights",
-    "tenant-quantum",  "tenant-phase-stride", "admission",
-    "admission-rate",  "admission-target",    "admission-max"};
+    "tenants",          "tenant-config",       "tenant-quota-share",
+    "tenant-mix",       "tenant-weights",      "tenant-quantum",
+    "tenant-phase-stride", "admission",        "admission-rate",
+    "admission-target", "admission-max"};
 
 /**
- * Parse the multi-tenant flags shared by the CLI and the bench
- * harnesses: --tenants, --tenant-quota, --tenant-quota-share,
+ * Parse the multi-tenant flags: --tenants, --tenant-quota-share,
  * --tenant-mix, --tenant-weights, --tenant-quantum,
  * --tenant-phase-stride, --admission, --admission-rate,
  * --admission-target, --admission-max, plus --tenant-config=FILE to
  * load a "tenancy.*" section first (explicit flags override the file).
- * Validation is strict: any other "tenant"/"admission"-prefixed flag is
- * a typo and fatal()s, as does a tenancy knob without --tenants > 1.
+ * A tenancy knob without --tenants > 1 fatal()s; unknown flags are the
+ * caller's CliArgs::require_known() check.
  */
 TenancyConfig parse_tenancy_cli(const CliArgs& args);
 

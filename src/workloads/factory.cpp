@@ -1,13 +1,14 @@
 #include "workloads/factory.hpp"
 
+#include "util/config.hpp"
 #include "util/logging.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/btree.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/masim.hpp"
-#include "workloads/mixer.hpp"
 #include "workloads/patterns.hpp"
 #include "workloads/simple.hpp"
+#include "workloads/trace.hpp"
 #include "workloads/ycsb.hpp"
 
 namespace artmem::workloads {
@@ -88,6 +89,20 @@ make_workload(std::string_view name, Bytes page_size,
     if (name == "sequential") {
         return std::make_unique<SequentialScan>(32ull << 30, page_size,
                                                 total_accesses);
+    }
+    if (name.starts_with(kMasimPrefix)) {
+        const std::string path(name.substr(kMasimPrefix.size()));
+        return std::make_unique<Masim>(
+            Masim::parse_spec(KvConfig::load(path)), page_size, seed);
+    }
+    if (name.starts_with(kTracePrefix)) {
+        const std::string path(name.substr(kTracePrefix.size()));
+        auto replay = std::make_unique<TraceReplay>(path);
+        if (replay->page_size() != page_size)
+            fatal("make_workload: trace ", path,
+                  " was recorded at page size ", replay->page_size(),
+                  " but the machine page size is ", page_size);
+        return replay;
     }
     fatal("make_workload: unknown workload '", std::string(name), "'");
 }

@@ -19,7 +19,6 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "util/cli.hpp"
-#include "util/config.hpp"
 
 namespace artmem::memsim {
 namespace {
@@ -88,43 +87,6 @@ TEST(TxConfigValidate, RejectsBadRatesAndEmptyTable)
     TxConfig empty;
     empty.max_inflight = 0;
     EXPECT_EXIT(empty.validate(), ::testing::ExitedWithCode(1), "");
-}
-
-TEST(TxConfigParse, RoundTripsKnownKeys)
-{
-    KvConfig kv;
-    kv.set("tx.enabled", "true");
-    kv.set("tx.seed", "99");
-    kv.set("tx.write_ratio", "0.25");
-    kv.set("tx.max_inflight", "8");
-    kv.set("tx.non_exclusive", "false");
-    const TxConfig tx = parse_tx_config(kv);
-    EXPECT_TRUE(tx.enabled);
-    EXPECT_EQ(tx.seed, 99u);
-    EXPECT_DOUBLE_EQ(tx.write_ratio, 0.25);
-    EXPECT_EQ(tx.max_inflight, 8u);
-    EXPECT_FALSE(tx.non_exclusive);
-}
-
-TEST(TxConfigParse, UnknownKeyIsFatal)
-{
-    KvConfig kv;
-    kv.set("tx.write_probability", "0.5");
-    EXPECT_EXIT((void)parse_tx_config(kv), ::testing::ExitedWithCode(1),
-                "");
-}
-
-TEST(TxCli, UnknownTxFlagIsFatal)
-{
-    std::vector<std::string> argv_s = {"prog", "--tx-migration",
-                                       "--tx-writes=0.5"};
-    std::vector<char*> argv;
-    for (auto& a : argv_s)
-        argv.push_back(a.data());
-    const auto args =
-        CliArgs::parse(static_cast<int>(argv.size()), argv.data());
-    EXPECT_EXIT((void)sim::parse_tx_cli(args),
-                ::testing::ExitedWithCode(1), "");
 }
 
 TEST(TxCli, KnobWithoutMasterSwitchIsFatal)

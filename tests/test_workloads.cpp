@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for the workload generators: MASIM, the S1-S4 patterns,
- * YCSB, graph emulations, B-tree, app specs, the mixer, and the
- * factory.
+ * YCSB, graph emulations, B-tree, app specs, trace capture and replay,
+ * and the factory (built-in and file-backed names).
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 
 #include "workloads/apps.hpp"
@@ -13,7 +14,6 @@
 #include "workloads/factory.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/masim.hpp"
-#include "workloads/mixer.hpp"
 #include "workloads/patterns.hpp"
 #include "workloads/simple.hpp"
 #include "workloads/trace.hpp"
@@ -45,6 +45,18 @@ histogram(AccessGenerator& gen)
         sum += c;
     EXPECT_EQ(sum, gen.total_accesses());
     return counts;
+}
+
+/** Drain a generator fully, returning the access stream in order. */
+std::vector<PageId>
+drain(AccessGenerator& gen)
+{
+    std::vector<PageId> stream;
+    std::vector<PageId> buf(777);
+    std::size_t n;
+    while ((n = gen.fill(buf)) > 0)
+        stream.insert(stream.end(), buf.begin(), buf.begin() + n);
+    return stream;
 }
 
 TEST(Masim, RespectsBudgetAndFootprint)
@@ -320,36 +332,6 @@ TEST(Apps, SpecsMatchTable3Footprints)
     EXPECT_EQ(liblinear_spec(1000).phases.size(), 3u);
 }
 
-TEST(Mixer, StacksFootprintsAndInterleaves)
-{
-    std::vector<std::unique_ptr<AccessGenerator>> children;
-    children.push_back(std::make_unique<SequentialScan>(
-        4 * kPage, kPage, 100));
-    children.push_back(std::make_unique<SequentialScan>(
-        4 * kPage, kPage, 100));
-    Mixer mix(std::move(children), kPage, 8);
-    EXPECT_EQ(mix.footprint(), 8 * kPage);
-    EXPECT_EQ(mix.total_accesses(), 200u);
-    auto counts = histogram(mix);
-    // Child 1's pages are offset by 4.
-    EXPECT_GT(counts[0], 0u);
-    EXPECT_GT(counts[4], 0u);
-    EXPECT_EQ(counts.rbegin()->first, 7u);
-}
-
-TEST(Mixer, FinishesWhenAllChildrenDone)
-{
-    std::vector<std::unique_ptr<AccessGenerator>> children;
-    children.push_back(std::make_unique<SequentialScan>(kPage, kPage, 10));
-    children.push_back(std::make_unique<SequentialScan>(kPage, kPage, 50));
-    Mixer mix(std::move(children), kPage, 4);
-    std::vector<PageId> buf(1000);
-    std::uint64_t total = 0, n;
-    while ((n = mix.fill(buf)) > 0)
-        total += n;
-    EXPECT_EQ(total, 60u);
-}
-
 TEST(Factory, BuildsEveryAdvertisedWorkload)
 {
     for (const auto name : workload_names()) {
@@ -365,6 +347,40 @@ TEST(Factory, BuildsEveryAdvertisedWorkload)
 TEST(Factory, AppListIsTable3)
 {
     EXPECT_EQ(app_workload_names().size(), 8u);
+}
+
+TEST(Factory, MasimPrefixBuildsTheConfigFile)
+{
+    const std::string path = ::testing::TempDir() + "/artmem_factory.cfg";
+    {
+        std::ofstream out(path);
+        out << "name = demo\n"
+               "footprint_mib = 64\n"
+               "phases = 2\n"
+               "phase0.accesses = 3000\n"
+               "phase0.regions = 2\n"
+               "phase0.region0 = 0 16 9.0\n"
+               "phase0.region1 = 16 48 1.0\n"
+               "phase1.accesses = 2000\n"
+               "phase1.regions = 1\n"
+               "phase1.region0 = 0 64 1.0 seq\n";
+    }
+    // The access count comes from the file, not the budget argument.
+    auto gen = make_workload("masim:" + path, kPage, 1, 7);
+    Masim reference(Masim::parse_spec(KvConfig::load(path)), kPage, 7);
+    EXPECT_EQ(gen->name(), "demo");
+    EXPECT_EQ(gen->footprint(), 64ull << 20);
+    EXPECT_EQ(gen->total_accesses(), 5000u);
+    EXPECT_EQ(drain(*gen), drain(reference));
+}
+
+TEST(Factory, FileBackedNamesRejectMissingFiles)
+{
+    const std::string missing = ::testing::TempDir() + "/artmem_missing";
+    EXPECT_EXIT((void)make_workload("masim:" + missing, kPage, 1, 1),
+                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_EXIT((void)make_workload("trace:" + missing, kPage, 1, 1),
+                ::testing::ExitedWithCode(1), "cannot open");
 }
 
 TEST(Trace, RecordAndReplayRoundTrip)
@@ -395,12 +411,19 @@ TEST(Trace, RecordAndReplayRoundTrip)
     EXPECT_EQ(replay.page_size(), kPage);
     EXPECT_EQ(replay.footprint(), 256ull << 20);
     EXPECT_EQ(replay.total_accesses(), original.size());
-    std::vector<PageId> replayed;
-    std::vector<PageId> buf(777);
-    std::size_t n;
-    while ((n = replay.fill(buf)) > 0)
-        replayed.insert(replayed.end(), buf.begin(), buf.begin() + n);
-    EXPECT_EQ(replayed, original);
+    EXPECT_EQ(drain(replay), original);
+
+    // The factory's trace: form replays the same file.
+    auto by_name = make_workload("trace:" + path, kPage, 1, 1);
+    EXPECT_EQ(by_name->footprint(), 256ull << 20);
+    EXPECT_EQ(by_name->total_accesses(), original.size());
+    EXPECT_EQ(drain(*by_name), original);
+
+    // A trace recorded at 2 MiB pages cannot drive a 4 KiB machine.
+    EXPECT_EXIT((void)make_workload("trace:" + path, 4096, 1, 1),
+                ::testing::ExitedWithCode(1),
+                "recorded at page size 2097152 but the machine page size "
+                "is 4096");
 }
 
 TEST(Trace, ReplayRejectsGarbage)

@@ -4,6 +4,8 @@
  *
  *   artmem list                              inventory of workloads/policies
  *   artmem run --workload=cc --policy=artmem --ratio=1:4 [--timeline]
+ *   artmem run --workload=masim:configs/s1.cfg   a MASIM pattern config
+ *   artmem run --workload=trace:s1.trace         replay a recorded trace
  *   artmem sweep --workload=ycsb             all policies x all ratios
  *     sweep-only: --jobs=N (parallel workers; results are bit-identical
  *     to --jobs=1), --derive-seeds (per-job seed streams via
@@ -11,7 +13,6 @@
  *   artmem train --workload=cc --out=q.tbl   save converged Q-tables
  *   artmem run ... --qtables=q.tbl           start from trained tables
  *   artmem trace-record --workload=s1 --out=s1.trace
- *   artmem trace-run --trace=s1.trace --policy=memtis
  *
  * Common flags: --accesses=N --seed=N (--csv --json: sweep)
  * Every subcommand fatal()s on a flag it does not read.
@@ -65,6 +66,17 @@ parse_ratio(const CliArgs& args)
     return ratio;
 }
 
+/** --accesses; refused for a file-backed workload, whose count is the
+ *  file's. */
+std::uint64_t
+parse_accesses(const CliArgs& args, const std::string& workload)
+{
+    if (args.has("accesses") && workloads::is_file_backed(workload))
+        fatal("--accesses does not apply to --workload=", workload,
+              ": the access count comes from the file");
+    return static_cast<std::uint64_t>(args.get_int("accesses", 6000000));
+}
+
 sim::RunSpec
 parse_spec(const CliArgs& args)
 {
@@ -72,8 +84,7 @@ parse_spec(const CliArgs& args)
     spec.workload = args.get_string("workload", "ycsb");
     spec.policy = args.get_string("policy", "artmem");
     spec.ratio = parse_ratio(args);
-    spec.accesses =
-        static_cast<std::uint64_t>(args.get_int("accesses", 6000000));
+    spec.accesses = parse_accesses(args, spec.workload);
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     spec.engine.check_invariants =
         args.get_bool("check-invariants", false);
@@ -83,6 +94,8 @@ parse_spec(const CliArgs& args)
     const std::string fault_file = args.get_string("fault-config", "");
     if (!scenario.empty() && !fault_file.empty())
         fatal("--fault-scenario and --fault-config are mutually exclusive");
+    if (args.has("fault-seed") && scenario.empty() && fault_file.empty())
+        fatal("--fault-seed requires --fault-scenario or --fault-config");
     if (!scenario.empty()) {
         spec.engine.faults = memsim::make_fault_scenario(
             scenario,
@@ -252,6 +265,8 @@ cmd_list(const CliArgs& args)
     std::cout << "workloads:";
     for (auto w : workloads::workload_names())
         std::cout << " " << w;
+    std::cout << " " << workloads::kMasimPrefix << "FILE "
+              << workloads::kTracePrefix << "FILE";
     std::cout << "\npolicies: ";
     for (auto p : sim::policy_names())
         std::cout << " " << p;
@@ -371,6 +386,9 @@ cmd_train(const CliArgs& args)
     args.require_known(
         {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kOutFlag});
     auto spec = parse_spec(args);
+    if (spec.policy != "artmem")
+        fatal("train only applies to the artmem policy, got --policy=",
+              spec.policy);
     const std::string out_path = args.get_string("out", "qtables.txt");
     core::ArtMemConfig cfg;
     cfg.seed = spec.seed;
@@ -388,42 +406,20 @@ cmd_train(const CliArgs& args)
 int
 cmd_trace_record(const CliArgs& args)
 {
-    static constexpr std::string_view kOutFlag[] = {"out"};
-    args.require_known(
-        {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kOutFlag});
-    auto spec = parse_spec(args);
-    const std::string out = args.get_string("out", spec.workload + ".trace");
-    auto inner = workloads::make_workload(spec.workload, kPage,
-                                          spec.accesses, spec.seed);
+    static constexpr std::string_view kRecordFlags[] = {
+        "workload", "accesses", "seed", "out"};
+    args.require_known({kRecordFlags});
+    const std::string workload = args.get_string("workload", "ycsb");
+    const std::string out = args.get_string("out", workload + ".trace");
+    auto inner = workloads::make_workload(
+        workload, kPage, parse_accesses(args, workload),
+        static_cast<std::uint64_t>(args.get_int("seed", 42)));
     workloads::TraceWriter writer(std::move(inner), out, kPage);
     std::vector<PageId> buf(8192);
     while (writer.fill(buf) > 0) {
     }
     std::cout << "recorded " << writer.written() << " accesses of "
-              << spec.workload << " to " << out << "\n";
-    return 0;
-}
-
-int
-cmd_trace_run(const CliArgs& args)
-{
-    static constexpr std::string_view kTraceFlag[] = {"trace"};
-    args.require_known(
-        {kSpecFlags, sim::kTxFlags, tenancy::kTenancyFlags, kTraceFlag});
-    const std::string path = args.get_string("trace", "");
-    if (path.empty())
-        fatal("trace-run requires --trace=<file>");
-    auto spec = parse_spec(args);
-    workloads::TraceReplay replay(path);
-    auto machine_config = sim::make_machine_config(
-        replay.footprint(), spec.ratio, replay.page_size());
-    memsim::TieredMachine machine(machine_config);
-    auto policy = sim::make_policy(spec.policy, spec.seed);
-    sim::EngineConfig engine;
-    engine.tx = spec.engine.tx;
-    const auto r = sim::run_simulation(replay, *policy, machine, engine);
-    spec.workload = "trace:" + path;
-    print_result(r, spec);
+              << workload << " to " << out << "\n";
     return 0;
 }
 
@@ -435,11 +431,10 @@ main(int argc, char** argv)
     const auto args = CliArgs::parse(argc, argv);
     if (args.positional().empty()) {
         std::cerr
-            << "usage: artmem <list|run|sweep|train|trace-record|"
-               "trace-run> [flags]\n"
-               "flags: --workload= --policy= --ratio=F:S --accesses=N "
-               "--seed=N --timeline --qtables= --out= --trace= --csv "
-               "--json\n"
+            << "usage: artmem <list|run|sweep|train|trace-record> [flags]\n"
+               "flags: --workload=<name|masim:FILE|trace:FILE> --policy= "
+               "--ratio=F:S --accesses=N --seed=N --timeline --qtables= "
+               "--out= --csv --json\n"
                "       --jobs=N --derive-seeds (sweep: parallel workers / "
                "per-job seed streams)\n"
                "       --fault-scenario=<none|migration|degrade|blackout|"
@@ -449,12 +444,11 @@ main(int argc, char** argv)
                "       --tx-write-ratio=R --tx-max-inflight=N --tx-seed=N "
                "--tx-exclusive (release the source slot at commit)\n"
                "       --tenants=N (interleave N tenant workloads; "
-               "DESIGN.md section 13) --tenant-quota=PAGES "
-               "--tenant-quota-share=F\n"
+               "DESIGN.md section 13) --tenant-quota-share=F\n"
                "       --tenant-mix=w1,w2,... --tenant-weights=a,b,... "
                "--tenant-quantum=N --tenant-phase-stride=N "
                "--tenant-config=<file>\n"
-               "       --admission=<none|allow_all|static|feedback> "
+               "       --admission=<none|static|feedback> "
                "--admission-rate=N --admission-target=R --admission-max=N\n"
                "       --check-invariants (audit simulator state every "
                "interval; see DESIGN.md section 6)\n"
@@ -475,7 +469,5 @@ main(int argc, char** argv)
         return cmd_train(args);
     if (command == "trace-record")
         return cmd_trace_record(args);
-    if (command == "trace-run")
-        return cmd_trace_run(args);
     artmem::fatal("unknown command '", command, "'");
 }
