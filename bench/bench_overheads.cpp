@@ -8,6 +8,9 @@
  *  - Q-table computation: one TD update; the paper reports <= 0.07%
  *    CPU for the whole decision cadence;
  *  - Q-table memory: both tables fit in < 10 KB (checked and printed);
+ *  - workload generation: ns per Zipf rank draw and us per Zipf
+ *    generator construction, over the (n, theta) of every generator
+ *    the workloads build (ungated layer numbers);
  *  - sweep dispatch: per-job cost of the thread pool and SweepRunner
  *    (must be negligible against a multi-millisecond simulation job);
  *  - telemetry: the same simulation with telemetry fully off vs fully
@@ -18,6 +21,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/zipf.hpp"
 
 namespace {
 
@@ -175,6 +180,50 @@ BM_SweepRunnerMap(benchmark::State& state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SweepRunnerMap)->Arg(64)->Arg(1024);
+
+/** The (n, theta) of every Zipfian generator the workloads build. */
+struct ZipfCase
+{
+    const char* workload;
+    std::uint64_t n;
+    double theta;
+};
+constexpr ZipfCase kZipfCases[] = {
+    {"ycsb", 14745, 0.99}, {"ycsb_w", 13107, 0.999}, {"cc", 35328, 0.9},
+    {"pr", 12800, 0.75},   {"sssp", 11468, 0.55},    {"btree", 65536, 0.2},
+};
+
+void
+BM_ZipfDraw(benchmark::State& state)
+{
+    // Workload-generation layer: ns per Zipf rank draw (table hit or
+    // closed-form tail) for one workload's generator. Ungated; the
+    // before/after numbers for the generator layer.
+    const ZipfCase& c = kZipfCases[state.range(0)];
+    const ZipfianGenerator zipf(c.n, c.theta);
+    Rng rng(42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf.next(rng));
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(c.workload);
+}
+BENCHMARK(BM_ZipfDraw)->DenseRange(0, std::size(kZipfCases) - 1);
+
+void
+BM_ZipfBuild(benchmark::State& state)
+{
+    // Construction cost of one workload's generator: zeta sum, rank
+    // table and its verification (part of every run's set-up).
+    const ZipfCase& c = kZipfCases[state.range(0)];
+    for (auto _ : state) {
+        const ZipfianGenerator zipf(c.n, c.theta);
+        benchmark::DoNotOptimize(zipf.table_ranks());
+    }
+    state.SetLabel(c.workload);
+}
+BENCHMARK(BM_ZipfBuild)
+    ->DenseRange(0, std::size(kZipfCases) - 1)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_SimTelemetry(benchmark::State& state)

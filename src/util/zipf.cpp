@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hpp"
 
@@ -12,8 +13,8 @@ namespace {
 
 /**
  * Positive finite doubles compare the same way their IEEE-754 bit
- * patterns do, so bisection over [0, 1) can walk uint64 bit patterns
- * and visit every representable double exactly once.
+ * patterns do, so a bracket of k ULPs around u is a bit-pattern range
+ * and every representable double in [0, 1) is one uint64 step apart.
  */
 std::uint64_t
 to_bits(double d)
@@ -28,17 +29,32 @@ from_bits(std::uint64_t b)
 }
 
 /** Ranks covered by the fast-path table (capped by the item count). */
-constexpr std::size_t kTableRanks = 512;
+constexpr std::size_t kTableRanks = 4096;
 
 /**
- * Uniform buckets over [0, boundaries_.back()). Sized so that even in
- * the densest tail of the table a bucket spans only a boundary or two,
- * keeping the linear scan after the indexed lookup O(1).
+ * Guide entries per table rank, uniform over [0, table end). Even in
+ * the densest tail of the table an entry then spans only a boundary or
+ * two, keeping the linear scan after the indexed lookup O(1).
  */
-constexpr std::size_t kBuckets = 4096;
+constexpr std::size_t kGuidePerRank = 4;
 
-/** Random monotonicity probes per table rank during verification. */
-constexpr std::size_t kProbesPerRank = 32;
+// A guide entry holds a rank index in [0, kTableRanks].
+static_assert(kTableRanks <= std::numeric_limits<std::uint16_t>::max(),
+              "table rank cap must fit the guide entry type");
+
+/**
+ * First bracket half-width in ULPs around a boundary guess, its growth
+ * when the proof fails, and the widest half-width tried before the
+ * table stops at that rank. The analytic guess lands within 64 ULPs of
+ * the true boundary for over 99% of ranks on every workload's (n,
+ * theta), so most ranks are proven by the first bracket.
+ */
+constexpr std::uint64_t kBracketUlps = 64;
+constexpr std::uint64_t kBracketGrowth = 16;
+constexpr std::uint64_t kMaxBracketUlps = kBracketUlps << 16;
+
+/** Seeded bit-pattern probes under the table during verification. */
+constexpr std::size_t kSprayProbes = 16384;
 
 }  // namespace
 
@@ -98,79 +114,124 @@ ZipfianGenerator::build_table()
     const std::uint64_t one_bits = to_bits(1.0);
     boundaries_.reserve(ranks);
     for (std::size_t r = 0; r < ranks; ++r) {
-        // Bisect for the smallest u with rank_of(u) > r. Assuming the
-        // closed form is weakly monotone in u (verified below), every
-        // u below the previous boundary already has rank <= r, so the
-        // search window starts there.
-        std::uint64_t lo = boundaries_.empty() ? 0
-                                               : to_bits(boundaries_.back());
-        std::uint64_t hi = one_bits;
-        while (lo < hi) {
-            const std::uint64_t mid = lo + (hi - lo) / 2;
-            if (rank_of(from_bits(mid)) > r)
-                hi = mid;
-            else
-                lo = mid + 1;
+        // Seed the boundary (the smallest u whose closed-form rank
+        // exceeds r) from the analytic inverse of rank_of(): its two
+        // cutoffs for ranks 0 and 1, and solving
+        // n * (eta*u - eta + 1)^alpha = r + 1 for u beyond them.
+        const double guess =
+            r == 0   ? 1.0 / zetan_
+            : r == 1 ? threshold12_ / zetan_
+                     : 1.0 + std::expm1((1.0 - theta_) *
+                                        std::log(static_cast<double>(r + 1) /
+                                                 static_cast<double>(n_))) /
+                                 eta_;
+        if (!(guess > 0.0 && guess < 1.0))
+            break;
+        // Prove a bracket around the guess, widening it on failure:
+        // rank_of(lo) <= r < rank_of(hi). Under weak monotonicity
+        // (verified below) every u <= lo has rank <= r and every
+        // u >= hi rank > r; a rank whose bracket cannot be proven ends
+        // the table.
+        const std::uint64_t g = to_bits(guess);
+        bool proven = false;
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        for (std::uint64_t w = kBracketUlps; w <= kMaxBracketUlps;
+             w *= kBracketGrowth) {
+            lo = g > w ? g - w : 0;
+            hi = g + w;
+            if (hi >= one_bits)
+                break;
+            if (rank_of(from_bits(lo)) <= r && rank_of(from_bits(hi)) > r) {
+                proven = true;
+                break;
+            }
         }
-        if (lo >= one_bits)
-            break;  // No drawable u reaches rank r+1; stop early.
-        boundaries_.push_back(from_bits(lo));
+        if (!proven)
+            break;
+        boundaries_.push_back(from_bits(hi));
+        slack_ = std::max(slack_, hi - lo);
     }
     if (boundaries_.empty())
         return;
 
-    // boundaries_[r] is the smallest u with closed-form rank > r, so
-    // the rank of u is the first index whose boundary exceeds it: an
-    // upper-bound search. The bucket grid turns that search into an
-    // indexed jump: bucket_start_[b] holds the upper bound at the
-    // bucket's left edge, and rank_from_table() walks the final step.
-    // Equal adjacent boundaries (a rank the closed form skips over)
-    // fall out naturally: the scan steps past the empty interval.
-    bucket_scale_ = static_cast<double>(kBuckets) / boundaries_.back();
-    bucket_start_.resize(kBuckets);
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        const double edge = static_cast<double>(b) / bucket_scale_;
-        bucket_start_[b] = static_cast<std::uint16_t>(
-            std::upper_bound(boundaries_.begin(), boundaries_.end(), edge) -
-            boundaries_.begin());
+    // The table rank of u is the first index whose boundary exceeds it:
+    // an upper-bound search. The guide grid turns that search into an
+    // indexed jump: guide_[e] holds the upper bound at the entry's left
+    // edge (one merge walk, the edges and boundaries both ascend), and
+    // rank_from_table() walks the final step.
+    table_end_ = boundaries_.back();
+    const std::size_t entries = kGuidePerRank * boundaries_.size();
+    guide_scale_ = static_cast<double>(entries) / table_end_;
+    guide_.resize(entries);
+    std::size_t r = 0;
+    for (std::size_t e = 0; e < entries; ++e) {
+        const double edge = static_cast<double>(e) / guide_scale_;
+        while (r < boundaries_.size() && boundaries_[r] <= edge)
+            ++r;
+        guide_[e] = static_cast<std::uint16_t>(r);
     }
 
-    // Verify the table against the closed form. Bisection is only
-    // correct if rank_of() is weakly monotone over the double bit
-    // space — true for a correctly-rounded pow(), but not guaranteed
-    // by the standard — so probe each boundary's both sides plus a
-    // deterministic random spray of bit patterns under the table, and
-    // drop the whole table (falling back to the closed form, which is
-    // always correct) on any mismatch. tests/test_diff_model.cpp
-    // additionally cross-checks millions of live draws.
-    bool ok = true;
-    for (std::size_t r = 0; r < boundaries_.size() && ok; ++r) {
-        const double b = boundaries_[r];
-        if (r > 0 && b < boundaries_[r - 1])
-            ok = false;
-        if (rank_of(b) <= r)
-            ok = false;
-        const std::uint64_t bb = to_bits(b);
-        if (bb > 0 && rank_of(from_bits(bb - 1)) > r)
-            ok = false;
-        if (ok && rank_from_table(b) != rank_of(b))
-            ok = false;
-    }
-    if (ok) {
-        std::uint64_t probe_state = 0x5a1fb00c0ffee123ull;
-        const std::uint64_t back_bits = to_bits(boundaries_.back());
-        const std::size_t probes = kProbesPerRank * boundaries_.size();
-        for (std::size_t i = 0; i < probes && ok; ++i) {
-            const double u = from_bits(splitmix64(probe_state) % back_bits);
-            if (rank_from_table(u) != rank_of(u))
-                ok = false;
-        }
-    }
-    if (!ok) {
+    if (!verify_table()) {
         boundaries_.clear();
-        bucket_start_.clear();
-        bucket_scale_ = 0.0;
+        guide_.clear();
+        slack_ = 0;
+        table_end_ = 0.0;
+        guide_scale_ = 0.0;
     }
+}
+
+bool
+ZipfianGenerator::verify_table() const
+{
+    // The bracket proofs and the lookup are only correct if rank_of()
+    // is weakly monotone over the double bit space — true for a
+    // correctly-rounded pow(), but not guaranteed by the standard — so
+    // check the table against the closed form, and let the caller drop
+    // the whole table (falling back to the closed form, which is always
+    // correct) on any mismatch:
+    //  - the boundaries ascend;
+    //  - both sides of each boundary: rank_of(b) > r, and rank_of() is
+    //    <= r at b minus the shared slack_ ULPs (not only the rank's
+    //    own, possibly narrower, bracket);
+    //  - the table path equals the closed form at both bracket ends;
+    //  - one value-uniform probe inside each rank's interval;
+    //  - a seeded spray of kSprayProbes bit patterns under the table.
+    // The spray is fixed rather than scaled with the rank count:
+    // uniform bit patterns put nearly all probes in rank 0 (99.7% at
+    // ycsb's n and theta, about a dozen at u >= 0.5), so more of them
+    // buy no tail coverage and only slow construction; the per-rank
+    // value-uniform probe is what reaches every rank.
+    // tests/test_diff_model.cpp additionally cross-checks millions of
+    // live draws and every bracket end.
+    std::uint64_t probe_state = 0x5a1fb00c0ffee123ull;
+    double prev = 0.0;
+    for (std::size_t r = 0; r < boundaries_.size(); ++r) {
+        const double hi = boundaries_[r];
+        if (hi < prev)
+            return false;
+        const std::uint64_t hi_bits = to_bits(hi);
+        const double lo = from_bits(hi_bits > slack_ ? hi_bits - slack_ : 0);
+        const std::uint64_t hi_rank = rank_of(hi);
+        const std::uint64_t lo_rank = rank_of(lo);
+        if (hi_rank <= r || lo_rank > r)
+            return false;
+        if (rank_for(hi) != hi_rank || rank_for(lo) != lo_rank)
+            return false;
+        const double unit =
+            static_cast<double>(splitmix64(probe_state) >> 11) * 0x1.0p-53;
+        const double u = prev + (hi - prev) * unit;
+        if (rank_for(u) != rank_of(u))
+            return false;
+        prev = hi;
+    }
+    const std::uint64_t end_bits = to_bits(table_end_);
+    for (std::size_t i = 0; i < kSprayProbes; ++i) {
+        const double u = from_bits(splitmix64(probe_state) % end_bits);
+        if (rank_for(u) != rank_of(u))
+            return false;
+    }
+    return true;
 }
 
 ScrambledZipfianGenerator::ScrambledZipfianGenerator(std::uint64_t n,

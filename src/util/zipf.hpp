@@ -9,21 +9,25 @@
  * The sampler's semantics are the Gray et al. closed form (rank_of()).
  * Because that form costs one libm pow() per draw and workload
  * generation dominates simulator wall time (DESIGN.md §9), construction
- * additionally builds an inverse-CDF boundary table for the hottest
- * ranks: boundary[r] is the bitwise-smallest double u for which the
- * closed form returns a rank > r, found by bisection over the double
- * bit space and verified against the closed form at and around every
- * boundary. A draw that lands inside the table indexes a uniform
- * bucket grid for a start rank and linearly scans at most a couple of
- * boundaries; any other draw (and any table whose verification failed)
- * takes the closed form. Both paths return bit-identical ranks for
- * every representable u — enforced by tests/test_diff_model.cpp, which
- * cross-checks millions of draws.
+ * additionally builds an inverse-CDF table for the hottest ranks. Each
+ * rank's upper boundary is seeded from the analytic inverse of the
+ * closed form and then proven with a narrow bracket of double bit
+ * patterns: rank_of(lo) <= r < rank_of(hi). The table keeps hi, and a
+ * draw that lands inside a bracket (1e-9 of draws or fewer on the
+ * workloads' generators) takes the closed form. A draw inside the
+ * table indexes a guide grid for a start rank and linearly scans at
+ * most a couple of boundaries; any other draw (and any table whose
+ * verification failed) takes the closed form.
+ * Both paths return bit-identical ranks for every representable u —
+ * enforced by tests/test_diff_model.cpp, which cross-checks millions of
+ * draws and sweeps every bracket end.
  */
 #ifndef ARTMEM_UTIL_ZIPF_HPP
 #define ARTMEM_UTIL_ZIPF_HPP
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -45,11 +49,17 @@ class ZipfianGenerator
     ZipfianGenerator(std::uint64_t n, double theta = 0.99);
 
     /** Draw the next item rank; rank 0 is the most popular item. */
+    std::uint64_t next(Rng& rng) const { return rank_for(rng.next_double()); }
+
+    /**
+     * The rank next() returns for unit draw @p u: the table path when
+     * @p u falls under the table, the closed form otherwise. Always
+     * equal to rank_of(u).
+     */
     std::uint64_t
-    next(Rng& rng)
+    rank_for(double u) const
     {
-        const double u = rng.next_double();
-        if (!boundaries_.empty() && u < boundaries_.back())
+        if (u < table_end_)
             return rank_from_table(u);
         return rank_of(u);
     }
@@ -70,30 +80,46 @@ class ZipfianGenerator
     /** Ranks covered by the verified fast-path table (0 if disabled). */
     std::size_t table_ranks() const { return boundaries_.size(); }
 
+    /**
+     * Upper bracket end b[r] of every table rank: rank_of(b[r]) > r,
+     * and rank_of(u) <= r for every u at least table_slack() bit
+     * patterns below b[r].
+     */
+    std::span<const double> table_boundaries() const { return boundaries_; }
+
+    /** Bracket width in ULPs shared by every table rank. */
+    std::uint64_t table_slack() const { return slack_; }
+
   private:
     static double zeta(std::uint64_t n, double theta);
 
     void build_table();
+    bool verify_table() const;
 
     /**
-     * Table lookup for u < boundaries_.back(). The bucket grid gives a
-     * start rank; the scan below is correct for any start hint (it
-     * walks to the exact upper bound in both directions), so floating
-     * rounding in the bucket index cannot change the result — only add
-     * a step to the scan.
+     * Table lookup for u < table_end_. The guide grid gives a start
+     * rank; the scan below is correct for any start hint (it walks to
+     * the first boundary above u in both directions), so floating
+     * rounding in the guide index cannot change the result — only add
+     * a step to the scan. Then u >= boundaries_[r-1] proves rank >= r,
+     * and u at least slack_ ULPs under boundaries_[r] proves rank <= r;
+     * a u inside the bracket takes the closed form.
      */
     std::uint64_t
     rank_from_table(double u) const
     {
-        auto b = static_cast<std::size_t>(u * bucket_scale_);
-        if (b >= bucket_start_.size())
-            b = bucket_start_.size() - 1;
-        std::size_t r = bucket_start_[b];
+        auto g = static_cast<std::size_t>(u * guide_scale_);
+        if (g >= guide_.size())
+            g = guide_.size() - 1;
+        std::size_t r = guide_[g];
         while (r > 0 && boundaries_[r - 1] > u)
             --r;
-        while (r < boundaries_.size() && boundaries_[r] <= u)
+        while (boundaries_[r] <= u)
             ++r;
-        return r;
+        if (std::bit_cast<std::uint64_t>(u) + slack_ <=
+            std::bit_cast<std::uint64_t>(boundaries_[r]))
+            return r;
+        return rank_of(u);
     }
 
     std::uint64_t n_;
@@ -104,12 +130,16 @@ class ZipfianGenerator
     double zeta2theta_;
     /** 1.0 + 0.5^theta, the rank-1 cutoff of the closed form. */
     double threshold12_;
-    /** boundaries_[r]: smallest u whose closed-form rank exceeds r. */
+    /** boundaries_[r]: upper end of rank r's proven bracket. */
     std::vector<double> boundaries_;
-    /** Per-bucket start rank over a uniform u grid covering the table. */
-    std::vector<std::uint16_t> bucket_start_;
-    /** Buckets per unit u: bucket_start_.size() / boundaries_.back(). */
-    double bucket_scale_ = 0.0;
+    /** Bracket width in ULPs: the max over every table rank. */
+    std::uint64_t slack_ = 0;
+    /** boundaries_.back(), or 0.0 (no u routes to the table) if none. */
+    double table_end_ = 0.0;
+    /** Per-entry start rank over a uniform u grid covering the table. */
+    std::vector<std::uint16_t> guide_;
+    /** Guide entries per unit u: guide_.size() / table_end_. */
+    double guide_scale_ = 0.0;
 };
 
 /**

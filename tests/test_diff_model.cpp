@@ -27,11 +27,13 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
- * Plus the Zipf fast path: the bucket-table rank lookup must agree with
- * the Gray et al. closed form on every draw.
+ * Plus the Zipf fast path: the guided rank-table lookup must agree with
+ * the Gray et al. closed form on every draw and at every bracket end.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -623,21 +625,50 @@ TEST(DiffModel, EmaBinsAndLruListsMatchNaiveModels)
 
 TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
 {
-    // Two generators' parameter spaces: small n (table covers all
-    // ranks) and the paper-scale skews. Two identically seeded RNGs
-    // consume the same uniform u: one feeds the table-backed next(),
-    // one the closed form directly.
+    // Small n (the table covers every rank), the paper-scale skews, and
+    // the six (n, theta) pairs the workloads build: ycsb, ycsb_w, cc,
+    // pr, sssp (default footprints at 2 MiB pages) and btree's leaf
+    // blocks. Each case first sweeps the table deterministically: both
+    // ends of every rank's bracket, one ULP either side of each, and
+    // the midpoint of every rank's interval. Then two identically
+    // seeded RNGs consume the same uniform u: one feeds the
+    // table-backed next(), one the closed form directly.
     const struct {
         std::uint64_t n;
         double theta;
     } cases[] = {
-        {100, 0.99}, {4096, 0.99}, {4096, 0.5}, {1u << 20, 0.9},
+        {100, 0.99},   {4096, 0.99},   {4096, 0.5},  {1u << 20, 0.9},
+        {14745, 0.99}, {13107, 0.999}, {35328, 0.9}, {12800, 0.75},
+        {11468, 0.55}, {65536, 0.2},
     };
+    // The table's rank cap (src/util/zipf.cpp kTableRanks).
+    constexpr std::uint64_t kTableRanks = 4096;
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    const auto from = [](std::uint64_t b) { return std::bit_cast<double>(b); };
     for (const auto& c : cases) {
         SCOPED_TRACE(testing::Message()
                      << "n=" << c.n << " theta=" << c.theta);
-        ZipfianGenerator zipf(c.n, c.theta);
-        ASSERT_GT(zipf.table_ranks(), 0u);
+        const ZipfianGenerator zipf(c.n, c.theta);
+        ASSERT_EQ(zipf.table_ranks(), std::min(c.n - 1, kTableRanks));
+
+        const auto boundaries = zipf.table_boundaries();
+        double prev = 0.0;
+        for (std::size_t r = 0; r < boundaries.size(); ++r) {
+            const std::uint64_t hi = bits(boundaries[r]);
+            const std::uint64_t lo = hi - zipf.table_slack();
+            for (const std::uint64_t end : {lo, hi}) {
+                for (const std::uint64_t b : {end - 1, end, end + 1}) {
+                    const double u = from(b);
+                    ASSERT_EQ(zipf.rank_for(u), zipf.rank_of(u))
+                        << "rank " << r << " u=" << u;
+                }
+            }
+            const double mid = prev + (boundaries[r] - prev) / 2;
+            ASSERT_EQ(zipf.rank_for(mid), r) << "midpoint of rank " << r;
+            ASSERT_EQ(zipf.rank_of(mid), r) << "midpoint of rank " << r;
+            prev = boundaries[r];
+        }
+
         Rng fast(91);
         Rng oracle(91);
         for (int i = 0; i < 2000000; ++i) {
