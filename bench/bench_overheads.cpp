@@ -349,6 +349,42 @@ BENCHMARK_CAPTURE(BM_SimThroughputTenants, tenants16, 16u)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+void
+BM_SimThroughputTenantsTx(benchmark::State& state, std::uint32_t tenants)
+{
+    // The tenants16_tx shape of the repo benchmark (perfbench/): 16
+    // tenants cycling s2/ycsb/s3/btree with tight quotas, feedback
+    // admission and transactional migration (write aborts, a 16-slot
+    // in-flight table). ArtMem's decision interval is the largest layer
+    // here — its promotion-candidate walk and the tx busy retries — so
+    // this entry gates that path, which the plain tenants16 run barely
+    // exercises.
+    sim::RunSpec spec;
+    spec.workload = "s2";
+    spec.policy = "artmem";
+    spec.ratio = {1, 4};
+    spec.accesses = 2000000;
+    spec.seed = 42;
+    spec.tenancy.tenants = tenants;
+    spec.tenancy.mix = {"s2", "ycsb", "s3", "btree"};
+    spec.tenancy.quota_share = 0.1;
+    spec.tenancy.admission = "feedback";
+    spec.engine.tx.enabled = true;
+    spec.engine.tx.seed = spec.seed;
+    spec.engine.tx.write_ratio = 0.1;
+    spec.engine.tx.max_inflight = 16;
+    spec.engine.tx.validate();
+    for (auto _ : state) {
+        const auto r = sim::run_experiment(spec);
+        benchmark::DoNotOptimize(r.fast_ratio);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(spec.accesses));
+}
+BENCHMARK_CAPTURE(BM_SimThroughputTenantsTx, tenants16, 16u)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /** Prints the Section 6.4 summary around the google-benchmark run. */
 class OverheadReporter : public benchmark::ConsoleReporter
 {

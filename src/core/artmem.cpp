@@ -91,6 +91,53 @@ ArtMem::init(memsim::TieredMachine& machine)
     last_migration_busy_ns_ = 0;
     fail_streak_.assign(pages, 0);
     retry_after_.assign(pages, 0);
+    slow_census_ = {};
+}
+
+void
+ArtMem::link(PageId page, lru::ListId list)
+{
+    lists_->insert_head(page, list);
+    if (auto* slot = census_slot(
+            list, stats::EmaBins::bin_of(bins_->count(page))))
+        ++*slot;
+}
+
+void
+ArtMem::unlink(PageId page)
+{
+    if (auto* slot = census_slot(
+            lists_->where(page), stats::EmaBins::bin_of(bins_->count(page))))
+        --*slot;
+    lists_->remove(page);
+}
+
+void
+ArtMem::recensus(PageId page, lru::ListId from, lru::ListId to,
+                 bool rebinned)
+{
+    // record() adds one to the count, so a re-binned page came from the
+    // bin just below its current one.
+    const int bin = stats::EmaBins::bin_of(bins_->count(page));
+    if (auto* slot = census_slot(from, rebinned ? bin - 1 : bin))
+        --*slot;
+    if (auto* slot = census_slot(to, bin))
+        ++*slot;
+}
+
+void
+ArtMem::rebuild_census()
+{
+    // Cooling halves every count, but a census cannot simply shift down
+    // one bin: a saturated count of 65536 halves to 32768 and stays in
+    // the top bin. Recount instead (once per cooling period).
+    slow_census_ = {};
+    for (lru::ListId list :
+         {lru::ListId::kSlowActive, lru::ListId::kSlowInactive}) {
+        for (PageId page = lists_->head(list); page != kInvalidPage;
+             page = lists_->next(page))
+            ++*census_slot(list, stats::EmaBins::bin_of(bins_->count(page)));
+    }
 }
 
 void
@@ -125,8 +172,6 @@ ArtMem::on_samples(std::span<const memsim::PebsSample> samples)
     const bool sorting = config_.use_sorting;
     SimTimeNs latency_sum = 0;
     for (const auto& s : samples) {
-        bins_->record(s.page);
-        tracker_->record(s.tier);
         // Sort on the page's *current* tier, not the tier recorded at
         // sample time: the sample may have sat in the PEBS buffer across
         // a migration interval, and touch() re-homes the page to
@@ -135,14 +180,32 @@ ArtMem::on_samples(std::span<const memsim::PebsSample> samples)
         // verify::Invariant::kLruResidency). A sampled page was
         // necessarily accessed, hence allocated: the unchecked read is
         // safe.
-        if (sorting)
+        //
+        // The slow-list census moves only when the sample re-binned the
+        // page or touch() changed its list. record() runs after touch()
+        // so that the census test directly follows record()'s own
+        // re-bin branch; recording first cost ycsb about 10% more per
+        // sample (the histogram and the lists do not depend on each
+        // other, so the order changes no result).
+        if (sorting) {
+            const lru::ListId from = lists_->where(s.page);
             lists_->touch(s.page, m.tier_of_unchecked(s.page));
+            const lru::ListId to = lists_->where(s.page);
+            const bool rebinned = bins_->record(s.page);
+            if (rebinned || from != to)
+                recensus(s.page, from, to, rebinned);
+        } else if (bins_->record(s.page)) {
+            const lru::ListId list = lists_->where(s.page);
+            recensus(s.page, list, list, true);
+        }
+        tracker_->record(s.tier);
         latency_sum += lat[static_cast<int>(s.tier)];
     }
     window_latency_sum_ += latency_sum;
     window_latency_samples_ += samples.size();
     if (bins_->cooling_due()) {
         bins_->cool();
+        rebuild_census();
         // The threshold is re-derived from capacity after each cooling;
         // the RL agent refines it between coolings (Section 4.3).
         threshold_ = std::max(
@@ -229,12 +292,27 @@ ArtMem::collect_promotion_candidates(std::size_t want,
     // the inactive list (Section 4.3, step V). Pages inside their
     // failure backoff window are skipped: retrying a pinned or
     // recently-aborted page burns budget for nothing.
+    //
+    // The census says how many pages of each list sit in the
+    // threshold's bin or above; once the walk has passed all of them,
+    // every page left has count < census_floor <= threshold_ and would
+    // fail the first test, so leaving the list there selects exactly
+    // what the full walk would.
+    const int first_bin = stats::EmaBins::bin_of(threshold_);
+    const std::uint32_t census_floor = stats::EmaBins::bin_floor(first_bin);
     for (lru::ListId list :
          {lru::ListId::kSlowActive, lru::ListId::kSlowInactive}) {
+        std::uint64_t left = 0;
+        for (int bin = first_bin; bin < stats::EmaBins::kBins; ++bin)
+            left += *census_slot(list, bin);
         for (PageId page = lists_->head(list);
-             page != kInvalidPage && out.size() < want;
+             page != kInvalidPage && left != 0 && out.size() < want;
              page = lists_->next(page)) {
-            if (bins_->count(page) >= threshold_ && m.is_allocated(page) &&
+            const std::uint32_t count = bins_->count(page);
+            if (count < census_floor)
+                continue;
+            --left;
+            if (count >= threshold_ && m.is_allocated(page) &&
                 m.tier_of_unchecked(page) == Tier::kSlow &&
                 !backed_off(page) && !m.tx_page_inflight(page)) {
                 out.push_back(page);
@@ -305,9 +383,8 @@ ArtMem::on_tx_resolved(PageId page, memsim::Tier src, memsim::Tier dst,
     if (!initialized())
         return;
     if (committed) {
-        lists_->remove(page);
-        lists_->insert_head(page, dst == Tier::kFast
-                                      ? lru::ListId::kFastActive
+        unlink(page);
+        link(page, dst == Tier::kFast ? lru::ListId::kFastActive
                                       : lru::ListId::kSlowInactive);
         note_migration_success(page);
         return;
@@ -318,8 +395,8 @@ ArtMem::on_tx_resolved(PageId page, memsim::Tier src, memsim::Tier dst,
         // hot enough to have been a candidate. Re-home it so the next
         // unbacked-off period can find it; aborted demotions stay
         // off-list like any other failed demotion.
-        lists_->remove(page);
-        lists_->insert_head(page, lru::ListId::kSlowActive);
+        unlink(page);
+        link(page, lru::ListId::kSlowActive);
     }
 }
 
@@ -329,11 +406,11 @@ ArtMem::demote_for_room(std::size_t need)
     auto& m = machine();
     std::size_t demoted = 0;
     auto demote_page = [&](PageId page) {
-        lists_->remove(page);
+        unlink(page);
         const auto result = m.migrate(page, Tier::kSlow);
         if (result.ok()) {
             // Demoted pages join the slow inactive head: cold but recent.
-            lists_->insert_head(page, lru::ListId::kSlowInactive);
+            link(page, lru::ListId::kSlowInactive);
             ++demoted;
         } else if (result.pending()) {
             // Transactional open: the room arrives at commit, and
@@ -391,8 +468,8 @@ ArtMem::perform_migration(Bytes budget)
     const auto want = static_cast<std::size_t>(budget / m.page_size());
     if (want == 0)
         return 0;
-    std::vector<PageId> candidates;
-    candidates.reserve(want);
+    std::vector<PageId>& candidates = promote_scratch_;
+    candidates.clear();
     collect_promotion_candidates(want, candidates);
     // Scope-bounded selection: the kmigrated thread only touches the
     // candidate/victim lists it actually migrates from, not the whole
@@ -407,11 +484,11 @@ ArtMem::perform_migration(Bytes budget)
         if (round.size() > free)
             demote_for_room(round.size() - free);
         for (PageId page : round) {
-            lists_->remove(page);
+            unlink(page);
             const auto result = m.migrate(page, Tier::kFast);
             if (result.ok()) {
                 // Aggressive re-insertion: always the fast active head.
-                lists_->insert_head(page, lru::ListId::kFastActive);
+                link(page, lru::ListId::kFastActive);
                 note_migration_success(page);
                 ++promoted;
             } else if (result.pending()) {
@@ -425,11 +502,11 @@ ArtMem::perform_migration(Bytes budget)
                 // consume can fund a replacement below. Tenancy denials
                 // take the same path with a harder backoff — another
                 // tenant's candidate can still use the refill round.
-                lists_->insert_head(page, lru::ListId::kSlowActive);
+                link(page, lru::ListId::kSlowActive);
                 note_migration_failure(page, result);
                 ++faulted;
             } else {
-                lists_->insert_head(page, lru::ListId::kSlowActive);
+                link(page, lru::ListId::kSlowActive);
             }
         }
     };
@@ -438,8 +515,8 @@ ArtMem::perform_migration(Bytes budget)
     // the next-best candidates (the failed pages are now backed off, so
     // the collection cannot hand them straight back).
     if (faulted > 0 && promoted < want) {
-        std::vector<PageId> extra;
-        extra.reserve(want - promoted);
+        std::vector<PageId>& extra = refill_scratch_;
+        extra.clear();
         collect_promotion_candidates(want - promoted, extra);
         m.charge_overhead(extra.size() * 4);
         if (!extra.empty())

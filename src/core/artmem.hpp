@@ -31,6 +31,7 @@
 #ifndef ARTMEM_CORE_ARTMEM_HPP
 #define ARTMEM_CORE_ARTMEM_HPP
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -82,6 +83,13 @@ struct ArtMemConfig {
     std::uint64_t seed = 42;
 };
 
+/**
+ * Pages on the slow active list (row 0) and the slow inactive list
+ * (row 1), bucketed by the EMA bin of their sampled-access count.
+ */
+using SlowCensus =
+    std::array<std::array<std::uint64_t, stats::EmaBins::kBins>, 2>;
+
 /** The ArtMem policy. */
 class ArtMem final : public policies::Policy
 {
@@ -125,6 +133,9 @@ class ArtMem final : public policies::Policy
     /** LRU lists access (tests). */
     const lru::LruLists& lists() const { return *lists_; }
 
+    /** Per-bin census of the two slow lists (invariant audits). */
+    const SlowCensus& slow_census() const { return slow_census_; }
+
     /** Configuration in use. */
     const ArtMemConfig& config() const { return config_; }
 
@@ -156,6 +167,38 @@ class ArtMem final : public policies::Policy
     }
 
   private:
+    /** Test-only back door (tests/artmem_peer.hpp). Never defined in
+     *  the library. */
+    friend struct ArtMemTestPeer;
+
+    /** slow_census_ entry of @p bin on @p list, or nullptr when
+     *  @p list is a fast list or kNone. */
+    std::uint64_t*
+    census_slot(lru::ListId list, int bin)
+    {
+        std::size_t row = 0;
+        switch (list) {
+        case lru::ListId::kSlowActive:
+            row = 0;
+            break;
+        case lru::ListId::kSlowInactive:
+            row = 1;
+            break;
+        default:
+            return nullptr;
+        }
+        return &slow_census_[row][static_cast<std::size_t>(bin)];
+    }
+    /** The two list mutations outside on_samples(); both keep
+     *  slow_census_ exact. */
+    void link(PageId page, lru::ListId list);
+    void unlink(PageId page);
+    /** Census move of a page that on_samples() re-binned (@p rebinned:
+     *  up one bin) and/or touch() moved from list @p from to @p to. */
+    void recensus(PageId page, lru::ListId from, lru::ListId to,
+                  bool rebinned);
+    /** Recount slow_census_ from the two slow lists (after cooling). */
+    void rebuild_census();
     int state_count() const { return config_.k + 2; }
     void attach_agent_telemetry();
     double tau_for_reward(const stats::TauState& tau) const;
@@ -190,6 +233,12 @@ class ArtMem final : public policies::Policy
     std::uint64_t window_latency_samples_ = 0;
     SimTimeNs last_migration_busy_ns_ = 0;
     std::vector<PageId> candidate_scratch_;
+    // perform_migration()'s per-interval candidate and refill rounds.
+    std::vector<PageId> promote_scratch_;
+    std::vector<PageId> refill_scratch_;
+    // Lets collect_promotion_candidates() leave a slow list as soon as
+    // no page further down can reach the threshold's bin.
+    SlowCensus slow_census_{};
     std::string pretrained_;
     // Fault resilience: per-page failure streaks and the period after
     // which a failed page may be retried (exponential backoff; pinned

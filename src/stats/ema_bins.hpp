@@ -38,8 +38,11 @@ class EmaBins
     /**
      * Record one sampled access to @p page. Inline: runs once per
      * drained PEBS sample on the engine's tick path (DESIGN.md §9).
+     * @return true if the page moved up one bin (from bin_of(count) - 1);
+     *         callers that keep per-bin censuses of their own (ArtMem's
+     *         slow-list census) update them only then.
      */
-    void
+    bool
     record(PageId page)
     {
         std::uint32_t& c = counts_[page];
@@ -48,11 +51,12 @@ class EmaBins
         if (c < (1u << (kBins - 1)))
             ++c;
         const int after = bin_of(c);
-        if (after != before) {
-            --bins_[before];
-            ++bins_[after];
-        }
         ++samples_since_cooling_;
+        if (after == before)
+            return false;
+        --bins_[before];
+        ++bins_[after];
+        return true;
     }
 
     /** Sampled-access count of a page (post-cooling EMA value). */

@@ -33,6 +33,8 @@ invariant_name(Invariant invariant)
         return "tx_accounting";
     case Invariant::kTenantQuota:
         return "tenant_quota";
+    case Invariant::kLruCensus:
+        return "lru_census";
     }
     return "unknown";
 }
@@ -204,6 +206,42 @@ InvariantChecker::check_lru(const lru::LruLists& lists,
         }
     }
     return examined;
+}
+
+std::uint64_t
+InvariantChecker::check_lru_census(const lru::LruLists& lists,
+                                   const stats::EmaBins& bins,
+                                   const core::SlowCensus& census)
+{
+    // Recount from the where() labels in page order: check_lru() ties
+    // the labels to the list chains, and a sequential pass is far
+    // cheaper than chasing both lists' links.
+    constexpr ListId kSlowLists[] = {ListId::kSlowActive,
+                                     ListId::kSlowInactive};
+    core::SlowCensus recount{};
+    const std::size_t pages = lists.page_count();
+    for (PageId page = 0; page < pages; ++page) {
+        const ListId at = lists.where(page);
+        if (at != ListId::kSlowActive && at != ListId::kSlowInactive)
+            continue;
+        const std::size_t row = at == ListId::kSlowActive ? 0 : 1;
+        ++recount[row][static_cast<std::size_t>(
+            stats::EmaBins::bin_of(bins.count(page)))];
+    }
+    for (std::size_t row = 0; row < census.size(); ++row) {
+        for (int b = 0; b < stats::EmaBins::kBins; ++b) {
+            const auto bin = static_cast<std::size_t>(b);
+            if (census[row][bin] != recount[row][bin]) {
+                std::ostringstream os;
+                os << list_name(kSlowLists[row]) << " census puts "
+                   << census[row][bin] << " pages in bin " << b
+                   << " (counts >= " << stats::EmaBins::bin_floor(b)
+                   << ") but the list holds " << recount[row][bin];
+                violate(Invariant::kLruCensus, os.str());
+            }
+        }
+    }
+    return static_cast<std::uint64_t>(pages) + 2 * stats::EmaBins::kBins;
 }
 
 std::uint64_t
@@ -503,6 +541,8 @@ InvariantChecker::check_artmem(const core::ArtMem& artmem,
     std::uint64_t examined = 0;
     examined += check_lru(artmem.lists(), machine);
     examined += check_ema(artmem.bins());
+    examined += check_lru_census(artmem.lists(), artmem.bins(),
+                                 artmem.slow_census());
     const double bound = qtable_bound(artmem.config());
     examined +=
         check_qtable(artmem.migration_agent().table(), bound, "migration");

@@ -23,6 +23,9 @@
  *    resident in the list's tier;
  *  - EMA histogram mass: per-bin page populations equal a recount from
  *    the per-page counters, and total mass equals the page space;
+ *  - ArtMem's slow-list census: the per-bin page counts ArtMem keeps
+ *    for its slow active and inactive lists (the early stop of its
+ *    promotion-candidate walk) equal a recount of both lists;
  *  - fault accounting: migration-failure counters reconcile with the
  *    FaultInjector's own draw bookkeeping, and are zero in fault-free
  *    runs;
@@ -67,6 +70,7 @@ enum class Invariant : std::uint8_t {
     kQTableValue,         ///< Non-finite or out-of-bound action value.
     kTxAccounting,        ///< Transaction counters vs. draw bookkeeping.
     kTenantQuota,         ///< Tenant ledger census / quota violation.
+    kLruCensus,           ///< ArtMem's slow-list bin census vs. a recount.
 };
 
 /** Printable invariant name ("residency_count", ...). */
@@ -137,6 +141,16 @@ class InvariantChecker
     check_ema(const stats::EmaBins& bins);
 
     /**
+     * ArtMem's slow-list census: buckets every page labelled slow
+     * active or slow inactive by the EMA bin of its count, and compares
+     * each bin with @p census (row 0 active, row 1 inactive).
+     * @returns page labels examined plus bins reconciled.
+     */
+    [[nodiscard]] static std::uint64_t
+    check_lru_census(const lru::LruLists& lists, const stats::EmaBins& bins,
+                     const core::SlowCensus& census);
+
+    /**
      * Migration-failure counters vs. FaultInjector bookkeeping. In a
      * fault-free machine every injected-failure counter must be zero;
      * with faults installed, transient aborts must match the injector's
@@ -199,8 +213,9 @@ class InvariantChecker
      */
     static double qtable_bound(const core::ArtMemConfig& config);
 
-    /** Audit ArtMem's internal structures (LRU, EMA, both Q-tables).
-     *  @returns the summed item counts of the four sub-checks. */
+    /** Audit ArtMem's internal structures (LRU, EMA, the slow-list
+     *  census, both Q-tables).
+     *  @returns the summed item counts of the five sub-checks. */
     [[nodiscard]] static std::uint64_t
     check_artmem(const core::ArtMem& artmem,
                  const memsim::TieredMachine& machine);

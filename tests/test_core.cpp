@@ -2,7 +2,8 @@
  * @file
  * Tests for the ArtMem policy itself: initialization per Algorithm 1,
  * reward mechanics, threshold clamping, migration-scope behaviour,
- * ablation switches, reward modes, and Q-table import/export.
+ * ablation switches, reward modes, Q-table import/export, and the
+ * slow-list census behind the promotion-candidate walk's early stop.
  */
 #include <gtest/gtest.h>
 
@@ -10,8 +11,11 @@
 
 #include "core/artmem.hpp"
 #include "sim/engine.hpp"
+#include "verify/invariant_checker.hpp"
 #include "workloads/masim.hpp"
 #include "workloads/simple.hpp"
+
+#include "artmem_peer.hpp"
 
 namespace artmem::core {
 namespace {
@@ -342,6 +346,99 @@ TEST(ArtMemDeterminism, SameSeedSameOutcome)
     const auto c = run_once(8);
     // Different exploration seed: almost surely a different trajectory.
     EXPECT_NE(a.runtime_ns, c.runtime_ns);
+}
+
+/** Feed @p times samples of slow-resident @p page to @p policy. */
+void
+sample_slow(ArtMem& policy, PageId page, std::size_t times)
+{
+    const std::vector<memsim::PebsSample> samples(
+        times, memsim::PebsSample{page, memsim::Tier::kSlow});
+    policy.on_samples(samples);
+}
+
+TEST(ArtMemCensus, StaleHotPageAtInactiveTailIsCollected)
+{
+    // 4 fast pages, 60 slow ones (prefault fills fast first).
+    memsim::TieredMachine machine(machine_config(4, 64));
+    machine.prefault_range(0, 64);
+    ArtMem policy;
+    policy.init(machine);
+    sample_slow(policy, 10, 40);  // hot
+    sample_slow(policy, 5, 40);   // hot
+    sample_slow(policy, 12, 17);  // in the threshold's bin, below it
+    // A committed demotion puts page 10 on the slow inactive head, still
+    // hot; every other slow page then touches in once after it.
+    policy.on_tx_resolved(10, memsim::Tier::kFast, memsim::Tier::kSlow,
+                          true);
+    for (PageId page = 4; page < 64; ++page) {
+        if (page != 5 && page != 10 && page != 12)
+            sample_slow(policy, page, 1);
+    }
+    const auto& lists = policy.lists();
+    ASSERT_EQ(lists.tail(lru::ListId::kSlowInactive), 10u);
+    ASSERT_EQ(lists.size(lru::ListId::kSlowActive), 2u);
+    EXPECT_EQ(policy.slow_census()[1][stats::EmaBins::bin_of(40)], 1u);
+    EXPECT_GT(verify::InvariantChecker::check_artmem(policy, machine), 0u);
+
+    ArtMemTestPeer::set_threshold(policy, 20);
+    std::vector<PageId> out;
+    ArtMemTestPeer::collect(policy, 8, out);
+    EXPECT_EQ(out, (std::vector<PageId>{5, 10}));
+    out.clear();
+    ArtMemTestPeer::collect(policy, 1, out);
+    EXPECT_EQ(out, (std::vector<PageId>{5}));
+}
+
+TEST(ArtMemCensus, SaturatedCountKeepsTopBinAcrossCooling)
+{
+    // Counts saturate at 65536 (bin 16); cooling halves that to 32768,
+    // which is still bin 16. A census shifted down one bin would lose
+    // the page from the top bin and stop the walk before it.
+    memsim::TieredMachine machine(machine_config(4, 64));
+    machine.prefault_range(0, 64);
+    ArtMemConfig cfg;
+    cfg.cooling_period = 70000;
+    ArtMem policy(cfg);
+    policy.init(machine);
+    constexpr int kTop = stats::EmaBins::kBins - 1;
+    sample_slow(policy, 11, 40);     // 40 -> 20 drops one bin on cooling
+    sample_slow(policy, 10, 70000);  // saturates, then cools
+    ASSERT_EQ(policy.bins().cooling_events(), 1u);
+    ASSERT_EQ(policy.bins().count(10), 1u << 15);
+    ASSERT_EQ(policy.bins().count(11), 20u);
+    EXPECT_EQ(policy.slow_census()[0][kTop], 1u);
+    EXPECT_EQ(policy.slow_census()[0][kTop - 1], 0u);
+    EXPECT_EQ(policy.slow_census()[0][stats::EmaBins::bin_of(20)], 1u);
+    EXPECT_GT(verify::InvariantChecker::check_artmem(policy, machine), 0u);
+
+    ArtMemTestPeer::set_threshold(policy, cfg.max_threshold);
+    std::vector<PageId> out;
+    ArtMemTestPeer::collect(policy, 8, out);
+    EXPECT_EQ(out, (std::vector<PageId>{10}));
+}
+
+TEST(ArtMemCensus, ReinitResetsCensus)
+{
+    memsim::TieredMachine first(machine_config(4, 64));
+    first.prefault_range(0, 64);
+    ArtMem policy;
+    policy.init(first);
+    for (PageId page = 4; page < 64; ++page)
+        sample_slow(policy, page, page % 3 == 0 ? 20 : 1);
+    std::uint64_t censused = 0;
+    for (const auto& row : policy.slow_census())
+        for (const auto pages : row)
+            censused += pages;
+    ASSERT_EQ(censused, 60u);
+
+    memsim::TieredMachine second(machine_config(4, 64));
+    second.prefault_range(0, 64);
+    policy.init(second);
+    for (const auto& row : policy.slow_census())
+        for (const auto pages : row)
+            EXPECT_EQ(pages, 0u);
+    EXPECT_GT(verify::InvariantChecker::check_artmem(policy, second), 0u);
 }
 
 }  // namespace

@@ -27,6 +27,10 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
+ *  4. ArtMem's promotion-candidate walk, which stops early on a per-bin
+ *     census of the slow lists, is checked against a naive full walk
+ *     at every decision interval of whole runs.
+ *
  * Plus the Zipf fast path: the guided rank-table lookup must agree with
  * the Gray et al. closed form on every draw and at every bracket end.
  */
@@ -41,13 +45,19 @@
 #include <string_view>
 #include <vector>
 
+#include "core/artmem.hpp"
 #include "lru/lru_lists.hpp"
 #include "memsim/fault_injector.hpp"
 #include "memsim/pebs.hpp"
 #include "memsim/tiered_machine.hpp"
+#include "policies/policy.hpp"
+#include "sim/experiment.hpp"
 #include "stats/ema_bins.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
+#include "verify/invariant_checker.hpp"
+
+#include "artmem_peer.hpp"
 
 namespace artmem {
 namespace {
@@ -618,6 +628,246 @@ TEST(DiffModel, EmaBinsAndLruListsMatchNaiveModels)
             return;
     }
 }
+
+// ---------------------------------------------------------------------
+// ArtMem promotion candidates: census-bounded walk vs a full walk.
+// ---------------------------------------------------------------------
+
+using core::ArtMemTestPeer;
+
+/**
+ * Forwards every hook to a real ArtMem and, before and after each
+ * decision interval, compares its candidate selection with a naive
+ * reference over a spread of thresholds and wants. The probes only
+ * read policy state, so the run itself must stay identical to a plain
+ * ArtMem run (checked by the caller).
+ */
+class CandidateLockstep final : public policies::Policy
+{
+  public:
+    explicit CandidateLockstep(const core::ArtMemConfig& config)
+        : inner_(config)
+    {
+    }
+
+    std::string_view name() const override { return inner_.name(); }
+
+    void
+    init(memsim::TieredMachine& machine) override
+    {
+        Policy::init(machine);
+        inner_.init(machine);
+    }
+
+    void
+    on_samples(std::span<const PebsSample> samples) override
+    {
+        inner_.on_samples(samples);
+    }
+
+    void
+    on_interval(SimTimeNs now) override
+    {
+        compare();
+        inner_.on_interval(now);
+        compare();
+    }
+
+    void
+    on_tx_resolved(PageId page, Tier src, Tier dst, bool committed) override
+    {
+        inner_.on_tx_resolved(page, src, dst, committed);
+    }
+
+    void
+    set_telemetry(telemetry::Telemetry* telemetry) override
+    {
+        Policy::set_telemetry(telemetry);
+        inner_.set_telemetry(telemetry);
+    }
+
+    std::uint64_t comparisons() const { return comparisons_; }
+    std::uint64_t candidates_seen() const { return candidates_seen_; }
+
+  private:
+    bool
+    eligible(PageId page, std::uint32_t threshold) const
+    {
+        const auto& m = machine();
+        return inner_.bins().count(page) >= threshold &&
+               m.is_allocated(page) && m.tier_of(page) == Tier::kSlow &&
+               !ArtMemTestPeer::backed_off(inner_, page) &&
+               !m.tx_page_inflight(page);
+    }
+
+    /** Every page the selection may return, in its order of preference:
+     *  recency (slow active then slow inactive, each head to tail), or
+     *  for the frequency-only ablation, count descending. */
+    std::vector<PageId>
+    naive_order(std::uint32_t threshold) const
+    {
+        std::vector<PageId> all;
+        const auto& lists = inner_.lists();
+        if (inner_.config().use_sorting) {
+            for (const lru::ListId list :
+                 {lru::ListId::kSlowActive, lru::ListId::kSlowInactive}) {
+                for (PageId page = lists.head(list); page != kInvalidPage;
+                     page = lists.next(page)) {
+                    if (eligible(page, threshold))
+                        all.push_back(page);
+                }
+            }
+            return all;
+        }
+        for (PageId page = 0; page < machine().page_count(); ++page) {
+            if (eligible(page, threshold))
+                all.push_back(page);
+        }
+        std::stable_sort(all.begin(), all.end(), [this](PageId a, PageId b) {
+            return inner_.bins().count(a) > inner_.bins().count(b);
+        });
+        return all;
+    }
+
+    void
+    compare()
+    {
+        if (testing::Test::HasFatalFailure())
+            return;
+        ASSERT_GT(verify::InvariantChecker::check_lru_census(
+                      inner_.lists(), inner_.bins(), inner_.slow_census()),
+                  0u);
+        const std::uint32_t current = inner_.current_threshold();
+        const int bin = stats::EmaBins::bin_of(current);
+        std::vector<std::uint32_t> thresholds = {
+            current, inner_.config().min_threshold,
+            stats::EmaBins::bin_floor(bin), 1u << 15};
+        if (bin + 1 < stats::EmaBins::kBins) {
+            thresholds.push_back(stats::EmaBins::bin_floor(bin + 1) - 1);
+            thresholds.push_back(stats::EmaBins::bin_floor(bin + 1));
+        }
+        for (const std::uint32_t threshold : thresholds) {
+            const std::vector<PageId> reference = naive_order(threshold);
+            ArtMemTestPeer::set_threshold(inner_, threshold);
+            for (const std::size_t want :
+                 {std::size_t{1}, std::size_t{7}, reference.size() + 1}) {
+                std::vector<PageId> got;
+                ArtMemTestPeer::collect(inner_, want, got);
+                const std::size_t expected =
+                    std::min(want, reference.size());
+                ASSERT_EQ(got.size(), expected)
+                    << "threshold " << threshold << " want " << want;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    if (inner_.config().use_sorting) {
+                        ASSERT_EQ(got[i], reference[i])
+                            << "threshold " << threshold << " rank " << i;
+                    } else {
+                        // Equal counts may tie in any order: compare
+                        // the count sequence and each pick's eligibility.
+                        ASSERT_TRUE(eligible(got[i], threshold));
+                        ASSERT_EQ(inner_.bins().count(got[i]),
+                                  inner_.bins().count(reference[i]))
+                            << "threshold " << threshold << " rank " << i;
+                    }
+                }
+                candidates_seen_ += got.size();
+                ++comparisons_;
+            }
+        }
+        ArtMemTestPeer::set_threshold(inner_, current);
+    }
+
+    core::ArtMem inner_;
+    std::uint64_t comparisons_ = 0;
+    std::uint64_t candidates_seen_ = 0;
+};
+
+struct CandidateCase {
+    const char* name;
+    sim::RunSpec spec;
+    bool use_sorting = true;
+};
+
+void
+PrintTo(const CandidateCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+sim::RunSpec
+candidate_spec(const char* workload, std::uint64_t accesses)
+{
+    sim::RunSpec spec;
+    spec.workload = workload;
+    spec.policy = "artmem";
+    spec.ratio = {1, 4};
+    spec.accesses = accesses;
+    spec.seed = 8;
+    return spec;
+}
+
+std::vector<CandidateCase>
+candidate_cases()
+{
+    std::vector<CandidateCase> cases;
+    cases.push_back({"s2", candidate_spec("s2", 2000000)});
+    cases.push_back({"ycsb", candidate_spec("ycsb", 2000000)});
+    {
+        // The tenants16_tx benchmark shape: quotas, feedback admission,
+        // write aborts and a 16-slot in-flight table.
+        CandidateCase c{"tenants16_tx", candidate_spec("s2", 2000000)};
+        c.spec.tenancy.tenants = 16;
+        c.spec.tenancy.mix = {"s2", "ycsb", "s3", "btree"};
+        c.spec.tenancy.quota_share = 0.1;
+        c.spec.tenancy.admission = "feedback";
+        c.spec.engine.tx.enabled = true;
+        c.spec.engine.tx.seed = 8;
+        c.spec.engine.tx.write_ratio = 0.1;
+        c.spec.engine.tx.max_inflight = 16;
+        cases.push_back(c);
+    }
+    {
+        CandidateCase c{"fault_migration", candidate_spec("s2", 2000000)};
+        c.spec.engine.faults = memsim::make_fault_scenario("migration", 1);
+        cases.push_back(c);
+    }
+    {
+        CandidateCase c{"no_sorting", candidate_spec("s2", 2000000)};
+        c.use_sorting = false;
+        cases.push_back(c);
+    }
+    return cases;
+}
+
+class CandidateWalk : public ::testing::TestWithParam<CandidateCase>
+{
+};
+
+TEST_P(CandidateWalk, BoundedWalkMatchesFullWalkEveryInterval)
+{
+    const CandidateCase& c = GetParam();
+    core::ArtMemConfig config;
+    config.seed = c.spec.seed;  // as sim::make_policy("artmem", seed)
+    config.use_sorting = c.use_sorting;
+    CandidateLockstep lockstep(config);
+    const auto checked = sim::run_experiment(c.spec, lockstep);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    EXPECT_GT(lockstep.comparisons(), 0u);
+    EXPECT_GT(lockstep.candidates_seen(), 0u);
+
+    // The probes must not have perturbed the run.
+    core::ArtMem plain(config);
+    const auto reference = sim::run_experiment(c.spec, plain);
+    EXPECT_EQ(checked.runtime_ns, reference.runtime_ns);
+    EXPECT_EQ(checked.totals.promoted_pages, reference.totals.promoted_pages);
+    EXPECT_EQ(checked.totals.demoted_pages, reference.totals.demoted_pages);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, CandidateWalk, ::testing::ValuesIn(candidate_cases()),
+    [](const auto& suite_info) {
+        return std::string(suite_info.param.name);
+    });
 
 // ---------------------------------------------------------------------
 // Zipf fast path: bucket-table lookup vs the closed form.

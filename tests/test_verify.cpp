@@ -3,8 +3,8 @@
  * Invariant-checker tests: a healthy simulator passes every audit, and
  * each deliberately seeded corruption triggers exactly the typed
  * InvariantViolation that names it. The corruption back doors are the
- * TestPeer friends declared by TieredMachine and EmaBins; they exist
- * only in the test tree.
+ * TestPeer friends declared by TieredMachine, EmaBins and ArtMem; they
+ * exist only in the test tree.
  */
 #include <gtest/gtest.h>
 
@@ -18,9 +18,13 @@
 #include "memsim/pebs.hpp"
 #include "memsim/tenant_ledger.hpp"
 #include "memsim/tiered_machine.hpp"
+#include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "util/rng.hpp"
 #include "verify/invariant_checker.hpp"
+#include "workloads/factory.hpp"
+
+#include "artmem_peer.hpp"
 
 namespace artmem::memsim {
 
@@ -155,6 +159,7 @@ TEST(InvariantNames, AreStable)
     EXPECT_EQ(invariant_name(Invariant::kQTableValue), "qtable_value");
     EXPECT_EQ(invariant_name(Invariant::kTxAccounting), "tx_accounting");
     EXPECT_EQ(invariant_name(Invariant::kTenantQuota), "tenant_quota");
+    EXPECT_EQ(invariant_name(Invariant::kLruCensus), "lru_census");
 }
 
 TEST(CheckMachine, HealthyMachinePasses)
@@ -394,6 +399,74 @@ TEST(Audit, DetectsArtMemQTableCorruption)
         std::numeric_limits<double>::infinity();
     InvariantChecker checker;
     EXPECT_THROW((void)checker.audit(machine, policy), InvariantViolation);
+}
+
+/** ArtMem after a short s2 run: both slow lists populated. */
+class CheckLruCensus : public ::testing::Test
+{
+  protected:
+    CheckLruCensus()
+        : workload_(workloads::make_workload("s2", kPageSize, 200000, 42)),
+          machine_(sim::make_machine_config(workload_->footprint(),
+                                            sim::RatioSpec{1, 4},
+                                            kPageSize))
+    {
+        (void)sim::run_simulation(*workload_, policy_, machine_,
+                                  sim::EngineConfig{});
+    }
+
+    void SetUp() override
+    {
+        ASSERT_GT(policy_.lists().size(lru::ListId::kSlowActive), 0u);
+        ASSERT_GT(policy_.lists().size(lru::ListId::kSlowInactive), 0u);
+    }
+
+    static constexpr Bytes kPageSize = 2ull << 20;
+    std::unique_ptr<workloads::AccessGenerator> workload_;
+    TieredMachine machine_;
+    core::ArtMem policy_;
+};
+
+TEST_F(CheckLruCensus, HealthyCensusPasses)
+{
+    EXPECT_GT(InvariantChecker::check_lru_census(
+                  policy_.lists(), policy_.bins(), policy_.slow_census()),
+              0u);
+    EXPECT_GT(InvariantChecker::check_artmem(policy_, machine_), 0u);
+}
+
+TEST_F(CheckLruCensus, SkewedBinFires)
+{
+    // One inactive page counted in the top bin that no list page holds.
+    core::ArtMemTestPeer::skew_census(policy_, 1,
+                                      stats::EmaBins::kBins - 1, 1);
+    try {
+        (void)InvariantChecker::check_lru_census(
+            policy_.lists(), policy_.bins(), policy_.slow_census());
+        FAIL() << "expected InvariantViolation";
+    } catch (const InvariantViolation& violation) {
+        EXPECT_EQ(violation.which(), Invariant::kLruCensus);
+        EXPECT_NE(std::string(violation.what()).find("lru_census"),
+                  std::string::npos);
+    }
+}
+
+TEST_F(CheckLruCensus, LostPageFiresThroughTheAudit)
+{
+    // A census that lost a page would let the candidate walk stop one
+    // hot page early; the per-interval audit must catch it.
+    const auto& row = policy_.slow_census()[0];
+    int bin = stats::EmaBins::kBins - 1;
+    while (row[static_cast<std::size_t>(bin)] == 0)
+        --bin;
+    core::ArtMemTestPeer::skew_census(policy_, 0, bin, -1);
+    InvariantChecker checker;
+    try {
+        (void)checker.audit(machine_, policy_);
+        FAIL() << "expected InvariantViolation";
+    } catch (const InvariantViolation& violation) {
+        EXPECT_EQ(violation.which(), Invariant::kLruCensus);
+    }
 }
 
 // --- transactional-engine accounting -----------------------------------
