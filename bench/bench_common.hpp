@@ -9,6 +9,7 @@
 #define ARTMEM_BENCH_COMMON_HPP
 
 #include <algorithm>
+#include <climits>
 #include <initializer_list>
 #include <iostream>
 #include <string>
@@ -56,8 +57,7 @@ struct BenchOptions {
             {kShared, {extra_flags.begin(), extra_flags.size()}});
         BenchOptions opt;
         if (args.has("accesses")) {
-            opt.accesses = static_cast<std::uint64_t>(args.get_int(
-                "accesses", static_cast<long long>(default_accesses)));
+            opt.accesses = args.get_count("accesses", default_accesses);
         } else {
             opt.accesses = default_accesses;
             if (args.get_bool("quick", false))
@@ -66,7 +66,8 @@ struct BenchOptions {
         opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
         opt.csv = args.get_bool("csv", false);
         opt.json = args.get_bool("json", false);
-        opt.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
+        opt.jobs =
+            static_cast<unsigned>(args.get_count("jobs", 0, UINT_MAX));
         return opt;
     }
 

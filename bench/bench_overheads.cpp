@@ -11,7 +11,7 @@
  *  - workload generation: ns per Zipf rank draw and us per Zipf
  *    generator construction, over the (n, theta) of every generator
  *    the workloads build (ungated layer numbers);
- *  - sweep dispatch: per-job cost of the thread pool and SweepRunner
+ *  - sweep dispatch: per-job cost of SweepRunner's worker dispatch
  *    (must be negligible against a multi-millisecond simulation job);
  *  - telemetry: the same simulation with telemetry fully off vs fully
  *    on (metrics + all trace categories + profiling). The off arm
@@ -35,7 +35,6 @@
 #include "sweep/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "util/zipf.hpp"
 
 namespace {
@@ -145,29 +144,11 @@ BM_MigrationPlanning(benchmark::State& state)
 BENCHMARK(BM_MigrationPlanning);
 
 void
-BM_ThreadPoolDispatch(benchmark::State& state)
-{
-    // Raw submit+wait cost per task on the sweep subsystem's pool.
-    const auto tasks = static_cast<std::size_t>(state.range(0));
-    ThreadPool pool(2);
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < tasks; ++i)
-            pool.submit([&sink, i] {
-                benchmark::DoNotOptimize(sink += i);
-            });
-        pool.wait();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(tasks));
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(64)->Arg(1024);
-
-void
 BM_SweepRunnerMap(benchmark::State& state)
 {
-    // End-to-end SweepRunner dispatch: result-slot allocation, pool
-    // round trip, and index-ordered collection for trivial jobs.
+    // End-to-end SweepRunner dispatch: result-slot allocation, worker
+    // start, index claiming and join, and index-ordered collection for
+    // trivial jobs.
     const auto n = static_cast<std::size_t>(state.range(0));
     sweep::SweepRunner runner({.jobs = 2, .progress = false});
     for (auto _ : state) {

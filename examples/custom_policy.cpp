@@ -84,8 +84,7 @@ main(int argc, char** argv)
     const auto args = CliArgs::parse(argc, argv);
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "s1");
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
+    spec.accesses = args.get_count("accesses", 4000000);
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     spec.ratio = {1, 2};
 

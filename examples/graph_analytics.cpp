@@ -21,8 +21,7 @@ main(int argc, char** argv)
 {
     using namespace artmem;
     const auto args = CliArgs::parse(argc, argv);
-    const auto accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
+    const auto accesses = args.get_count("accesses", 4000000);
     const std::string baseline = args.get_string("baseline", "autonuma");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 

@@ -26,17 +26,11 @@ main(int argc, char** argv)
     sim::RunSpec spec;
     spec.workload = "ycsb";
     spec.policy = "artmem";
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 6000000));
+    spec.accesses = args.get_count("accesses", 6000000);
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     spec.engine.record_timeline = true;
 
-    const std::string ratio = args.get_string("ratio", "1:4");
-    const auto colon = ratio.find(':');
-    if (colon != std::string::npos) {
-        spec.ratio.fast = std::stoi(ratio.substr(0, colon));
-        spec.ratio.slow = std::stoi(ratio.substr(colon + 1));
-    }
+    spec.ratio = sim::RatioSpec::parse(args.get_string("ratio", "1:4"));
 
     std::cout << "KV-store tiering: YCSB A-B-C-F-D under ArtMem, ratio "
               << spec.ratio.label() << "\n\n";

@@ -19,16 +19,10 @@ main(int argc, char** argv)
 
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
+    spec.accesses = args.get_count("accesses", 4000000);
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 
-    const std::string ratio = args.get_string("ratio", "1:4");
-    const auto colon = ratio.find(':');
-    if (colon != std::string::npos) {
-        spec.ratio.fast = std::stoi(ratio.substr(0, colon));
-        spec.ratio.slow = std::stoi(ratio.substr(colon + 1));
-    }
+    spec.ratio = sim::RatioSpec::parse(args.get_string("ratio", "1:4"));
 
     const std::string baseline = args.get_string("baseline", "memtis");
 

@@ -4,10 +4,14 @@
  *
  * The Performance Monitoring Unit is modelled as a countdown: one out of
  * every `period` observed memory loads is recorded, with its page and
- * serving tier, into a bounded ring buffer that the (simulated) ksampled
+ * serving tier, into a bounded buffer that the (simulated) ksampled
  * thread later drains. Overflowing records are dropped and counted, as
  * real PEBS buffers do. The paper initializes the period to 200 and
  * adjusts it dynamically to bound CPU overhead (Section 6.4).
+ *
+ * ksampled is an event on the simulated clock, so the buffer is
+ * thread-confined: the thread that records samples is the one that
+ * drains them, and the buffer is plain memory with no atomics.
  */
 #ifndef ARTMEM_MEMSIM_PEBS_HPP
 #define ARTMEM_MEMSIM_PEBS_HPP
@@ -15,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "memsim/ring_buffer.hpp"
 #include "memsim/tier.hpp"
 #include "util/types.hpp"
 
@@ -27,7 +30,7 @@ struct PebsSample {
     Tier tier;
 };
 
-/** Periodic sampler feeding a bounded SPSC buffer. */
+/** Periodic sampler feeding a bounded FIFO buffer. */
 class PebsSampler
 {
   public:
@@ -35,7 +38,7 @@ class PebsSampler
     struct Config {
         /** Record one of every `period` accesses. */
         std::uint32_t period = 200;
-        /** Ring buffer slots before drops occur. */
+        /** Buffer slots before drops occur (exactly this many). */
         std::size_t buffer_capacity = 1 << 14;
     };
 
@@ -48,14 +51,17 @@ class PebsSampler
         if (--countdown_ == 0) {
             countdown_ = period_;
             ++recorded_;
-            buffer_.push(PebsSample{page, tier});
+            if (size_ < slots_.size())
+                slots_[size_++] = PebsSample{page, tier};
+            else
+                ++dropped_;
         }
     }
 
-    /** Observations until the next record (test/audit visibility). */
-    std::uint32_t countdown() const { return countdown_; }
-
-    /** Drain up to @p max_items pending samples into @p out (appended). */
+    /**
+     * Append the oldest min(@p max_items, pending) samples to @p out in
+     * FIFO order; the rest stay buffered. @return number drained.
+     */
     std::size_t drain(std::vector<PebsSample>& out, std::size_t max_items);
 
     /** Current sampling period. */
@@ -71,13 +77,15 @@ class PebsSampler
     std::uint64_t recorded() const { return recorded_; }
 
     /** Samples dropped due to a full buffer. */
-    std::uint64_t dropped() const { return buffer_.dropped(); }
+    std::uint64_t dropped() const { return dropped_; }
 
   private:
-    RingBuffer<PebsSample> buffer_;
+    std::vector<PebsSample> slots_;  ///< Pending samples are [0, size_).
+    std::size_t size_ = 0;
     std::uint32_t period_;
     std::uint32_t countdown_;
     std::uint64_t recorded_ = 0;
+    std::uint64_t dropped_ = 0;
 };
 
 }  // namespace artmem::memsim

@@ -1,8 +1,24 @@
 #include "sim/experiment.hpp"
 
+#include "util/config.hpp"
 #include "util/logging.hpp"
 
 namespace artmem::sim {
+
+RatioSpec
+RatioSpec::parse(const std::string& text)
+{
+    const auto colon = text.find(':');
+    if (colon == std::string::npos)
+        fatal("--ratio expects fast:slow, got '", text, "'");
+    const auto part = [&](const std::string& digits) {
+        const long long value = parse_int(digits, "--ratio part");
+        if (value <= 0 || value > (1LL << 30))
+            fatal("--ratio parts must be in [1, 2^30], got '", text, "'");
+        return static_cast<int>(value);
+    };
+    return {part(text.substr(0, colon)), part(text.substr(colon + 1))};
+}
 
 std::vector<RatioSpec>
 paper_ratios()

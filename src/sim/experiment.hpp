@@ -25,6 +25,12 @@ struct RatioSpec {
     int fast = 1;
     int slow = 1;
 
+    /**
+     * Parse "fast:slow" (the --ratio flag); fatal() unless both parts
+     * are whole integers in [1, 2^30].
+     */
+    static RatioSpec parse(const std::string& text);
+
     /** "2:1"-style label. */
     std::string label() const
     {

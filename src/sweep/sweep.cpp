@@ -2,13 +2,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace artmem::sweep {
 
@@ -55,6 +59,36 @@ class ProgressMeter
     const Clock::time_point start_;
     Mutex mutex_;
     std::size_t done_ ARTMEM_GUARDED_BY(mutex_) = 0;
+};
+
+/** The first exception any worker raised; later ones are dropped. */
+class FirstError
+{
+  public:
+    void
+    capture(std::exception_ptr error) ARTMEM_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        if (!error_)
+            error_ = std::move(error);
+    }
+
+    /** Call after every worker has joined. */
+    void
+    rethrow() ARTMEM_EXCLUDES(mutex_)
+    {
+        std::exception_ptr error;
+        {
+            MutexLock lock(mutex_);
+            error = error_;
+        }
+        if (error)
+            std::rethrow_exception(error);
+    }
+
+  private:
+    Mutex mutex_;
+    std::exception_ptr error_ ARTMEM_GUARDED_BY(mutex_);
 };
 
 }  // namespace
@@ -128,7 +162,7 @@ SweepRunner::run_indexed(std::size_t n,
         workers = static_cast<unsigned>(n);
 
     if (workers <= 1) {
-        // Serial fast path: no pool, exceptions propagate directly.
+        // Serial fast path: no threads, exceptions propagate directly.
         for (std::size_t i = 0; i < n; ++i) {
             fn(i);
             progress.job_done();
@@ -136,14 +170,29 @@ SweepRunner::run_indexed(std::size_t n,
         return;
     }
 
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([&, i] {
-            fn(i);
-            progress.job_done();
-        });
-    }
-    pool.wait();
+    // Each worker claims the next unstarted index, so jobs start in
+    // index order. A throwing job does not stop its worker: every job
+    // still runs, and the first exception is rethrown after the join.
+    std::atomic<std::size_t> next{0};
+    FirstError error;
+    {
+        std::vector<std::jthread> threads;
+        threads.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w) {
+            threads.emplace_back([&] {
+                for (std::size_t i = next.fetch_add(1); i < n;
+                     i = next.fetch_add(1)) {
+                    try {
+                        fn(i);
+                        progress.job_done();
+                    } catch (...) {
+                        error.capture(std::current_exception());
+                    }
+                }
+            });
+        }
+    }  // std::jthread joins on destruction.
+    error.rethrow();
 }
 
 }  // namespace artmem::sweep

@@ -6,8 +6,8 @@
  * (Figure 7 alone is 8 workloads x 6 ratios x 8 policies). A sweep is
  * described declaratively as a SweepSpec — an ordered list of SweepJob
  * entries, each carrying its labels and everything needed to run it —
- * and executed by a SweepRunner over a bounded worker pool
- * (util/thread_pool.hpp).
+ * and executed by a SweepRunner whose worker threads claim job indices
+ * from a shared counter.
  *
  * Determinism contract: a job is a pure function of its SweepJob.
  * Each job constructs its own generator, policy, and TieredMachine on
@@ -135,7 +135,7 @@ struct SweepOptions {
 
 /**
  * Executes SweepSpecs (and arbitrary indexed job sets) on a bounded
- * worker pool, collecting results in deterministic job order.
+ * set of worker threads, collecting results in deterministic job order.
  */
 class SweepRunner
 {
@@ -152,7 +152,7 @@ class SweepRunner
     /**
      * Generic escape hatch for sweeps whose per-job product is not a
      * RunResult (heatmaps, MLC probes): apply @p fn to every index in
-     * [0, n) on the pool and collect the returns by index. T must be
+     * [0, n) on the workers and collect the returns by index. T must be
      * default-constructible; @p fn must follow the same isolation rule
      * as SweepJob::run.
      */
@@ -166,7 +166,7 @@ class SweepRunner
     }
 
   private:
-    /** Shared driver: pool dispatch, progress, exception propagation. */
+    /** Behind run() and map(): index dispatch, progress, exceptions. */
     void run_indexed(std::size_t n,
                      const std::function<void(std::size_t)>& fn);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "util/config.hpp"
 #include "util/logging.hpp"
 
 namespace artmem {
@@ -81,11 +82,21 @@ CliArgs::get_int(const std::string& name, long long fallback) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return fallback;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("flag --", name, " expects an integer, got '", it->second, "'");
-    return parsed;
+    return parse_int(it->second, "flag --" + name);
+}
+
+std::uint64_t
+CliArgs::get_count(const std::string& name, std::uint64_t fallback,
+                   std::uint64_t max) const
+{
+    if (!has(name))
+        return fallback;
+    const long long parsed = get_int(name, 0);
+    if (parsed < 0)
+        fatal("flag --", name, " must not be negative, got ", parsed);
+    if (static_cast<std::uint64_t>(parsed) > max)
+        fatal("flag --", name, " must be at most ", max, ", got ", parsed);
+    return static_cast<std::uint64_t>(parsed);
 }
 
 double

@@ -6,6 +6,7 @@
 #ifndef ARTMEM_UTIL_CLI_HPP
 #define ARTMEM_UTIL_CLI_HPP
 
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <span>
@@ -37,8 +38,13 @@ class CliArgs
     std::string get_string(const std::string& name,
                            const std::string& fallback) const;
 
-    /** Integer flag with default; fatal if malformed. */
+    /** Integer flag with default; fatal if malformed or out of range. */
     long long get_int(const std::string& name, long long fallback) const;
+
+    /** Count flag (accesses, jobs) with default; get_int() that is
+     *  also fatal if negative or above @p max. */
+    std::uint64_t get_count(const std::string& name, std::uint64_t fallback,
+                            std::uint64_t max = UINT64_MAX) const;
 
     /** Double flag with default; fatal if malformed. */
     double get_double(const std::string& name, double fallback) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,6 +26,21 @@ trim(std::string_view s)
 }
 
 }  // namespace
+
+long long
+parse_int(const std::string& text, std::string_view what)
+{
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(begin, &end, 0);
+    if (end == begin || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(text[0])))
+        fatal(what, " expects an integer, got '", text, "'");
+    if (errno == ERANGE)
+        fatal(what, " is out of range, got '", text, "'");
+    return parsed;
+}
 
 KvConfig
 KvConfig::parse(std::string_view text)
@@ -104,11 +120,7 @@ KvConfig::get_int(const std::string& key, long long fallback) const
     auto v = get(key);
     if (!v)
         return fallback;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        fatal("KvConfig: key '", key, "' is not an integer: ", *v);
-    return parsed;
+    return parse_int(*v, "KvConfig: key '" + key + "'");
 }
 
 double

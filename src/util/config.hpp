@@ -15,6 +15,15 @@
 
 namespace artmem {
 
+/**
+ * Whole-string signed integer in strtoll's base-0 syntax (decimal, 0x
+ * hex, leading-0 octal). fatal() naming @p what when @p text is empty,
+ * starts with whitespace, has anything after the number, or does not
+ * fit a long long. The one integer parse behind every flag and config
+ * key.
+ */
+long long parse_int(const std::string& text, std::string_view what);
+
 /** A flat string-to-string configuration map with typed accessors. */
 class KvConfig
 {

@@ -6,12 +6,11 @@ struct Mutex {
     void unlock();
 };
 
-struct CondVar {
-    void notify_one();
+struct MutexLock {
+    explicit MutexLock(Mutex& mutex);
 };
 
 struct FixtureAnnotatedPrimitives {
     Mutex mutex;
-    CondVar cv;
     int guarded = 0;
 };

@@ -330,10 +330,10 @@ struct NaiveMachine {
     std::uint64_t hint_faults = 0;
     std::unique_ptr<FaultInjector> inj;
 
-    // Deque model of PebsSampler's counter + ring buffer.
+    // Deque model of PebsSampler's counter + bounded buffer.
     std::uint32_t period;
     std::uint32_t countdown;
-    std::size_t buffer_cap;  // power of two, as RingBuffer rounds
+    std::size_t buffer_cap;
     std::deque<PebsSample> buffer;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
@@ -347,14 +347,12 @@ struct NaiveMachine {
           accessed(kPages, false),
           trap(kPages, false),
           period(sc.period),
-          countdown(sc.period)
+          countdown(sc.period),
+          buffer_cap(sc.buffer_capacity)
     {
         if (fc.any_enabled())
             inj = std::make_unique<FaultInjector>(
                 fc, cfg.fast_capacity_pages());
-        buffer_cap = 1;
-        while (buffer_cap < sc.buffer_capacity)
-            buffer_cap <<= 1;
     }
 
     std::size_t

@@ -1,15 +1,12 @@
 /**
  * @file
- * Unit tests for the tiered-memory machine, ring buffer, PEBS sampler,
- * and the MLC microbench.
+ * Unit tests for the tiered-memory machine, the PEBS sampler and its
+ * bounded buffer, and the MLC microbench.
  */
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "memsim/mlc.hpp"
 #include "memsim/pebs.hpp"
-#include "memsim/ring_buffer.hpp"
 #include "memsim/tiered_machine.hpp"
 
 namespace artmem::memsim {
@@ -162,121 +159,132 @@ TEST(TieredMachine, StreamChargesBandwidthTime)
     EXPECT_NEAR(static_cast<double>(dt) * 1e-9, 1.07, 0.03);
 }
 
+// The PEBS buffer's FIFO and drop contract. Period 1 records every
+// observed access, so the page id doubles as the record's value. The
+// RingBuffer suite name is kept from the buffer's former home.
+
+PebsSampler
+every_access(std::size_t capacity)
+{
+    return PebsSampler({.period = 1, .buffer_capacity = capacity});
+}
+
+void
+record(PebsSampler& sampler, PageId page)
+{
+    sampler.observe(page, Tier::kFast);
+}
+
+std::vector<PageId>
+drain_pages(PebsSampler& sampler, std::size_t max_items)
+{
+    std::vector<PebsSample> out;
+    sampler.drain(out, max_items);
+    std::vector<PageId> pages;
+    for (const auto& sample : out)
+        pages.push_back(sample.page);
+    return pages;
+}
+
 TEST(RingBuffer, PushPopFifo)
 {
-    RingBuffer<int> rb(4);
-    EXPECT_TRUE(rb.push(1));
-    EXPECT_TRUE(rb.push(2));
-    EXPECT_EQ(rb.size(), 2u);
-    EXPECT_EQ(rb.pop().value(), 1);
-    EXPECT_EQ(rb.pop().value(), 2);
-    EXPECT_FALSE(rb.pop().has_value());
+    auto sampler = every_access(4);
+    record(sampler, 1);
+    record(sampler, 2);
+    EXPECT_EQ(drain_pages(sampler, 1), std::vector<PageId>{1});
+    EXPECT_EQ(drain_pages(sampler, 1), std::vector<PageId>{2});
+    EXPECT_TRUE(drain_pages(sampler, 1).empty());
 }
 
 TEST(RingBuffer, DropsWhenFull)
 {
-    RingBuffer<int> rb(4);  // rounded to 4
-    for (int i = 0; i < 6; ++i)
-        rb.push(i);
-    EXPECT_EQ(rb.dropped(), 2u);
-    EXPECT_EQ(rb.size(), 4u);
+    auto sampler = every_access(4);
+    for (PageId i = 0; i < 6; ++i)
+        record(sampler, i);
+    EXPECT_EQ(sampler.recorded(), 6u);
+    EXPECT_EQ(sampler.dropped(), 2u);
+    EXPECT_EQ(drain_pages(sampler, 100).size(), 4u);
 }
 
 TEST(RingBuffer, DrainCollectsUpToLimit)
 {
-    RingBuffer<int> rb(8);
-    for (int i = 0; i < 5; ++i)
-        rb.push(i);
-    std::vector<int> out;
-    EXPECT_EQ(rb.drain(out, 3), 3u);
-    EXPECT_EQ(rb.drain(out, 10), 2u);
-    EXPECT_EQ(out.size(), 5u);
-}
-
-TEST(RingBuffer, SpscThreadedTransfer)
-{
-    // The real-thread path of the ArtMem sampling design (Section 4.4):
-    // a producer thread pushes, a consumer thread drains concurrently.
-    RingBuffer<std::uint64_t> rb(1024);
-    constexpr std::uint64_t kItems = 200000;
-    std::atomic<bool> done{false};
-    std::uint64_t sum = 0, received = 0;
-    std::thread consumer([&] {
-        while (!done.load(std::memory_order_acquire) || rb.size() > 0) {
-            if (auto v = rb.pop()) {
-                sum += *v;
-                ++received;
-            }
-        }
-    });
-    std::uint64_t pushed_sum = 0, pushed = 0;
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-        if (rb.push(i)) {
-            pushed_sum += i;
-            ++pushed;
-        }
-    }
-    done.store(true, std::memory_order_release);
-    consumer.join();
-    EXPECT_EQ(received, pushed);
-    EXPECT_EQ(sum, pushed_sum);
-    EXPECT_EQ(pushed + rb.dropped(), kItems);
-}
-
-TEST(RingBuffer, WraparoundPreservesFifoAcrossManyCycles)
-{
-    // Cycle the indices through the power-of-two mask many times over:
-    // the unmasked head/tail counters must keep FIFO order and exact
-    // size accounting across every wrap.
-    RingBuffer<int> rb(8);
-    int next_in = 0, next_out = 0;
-    for (int round = 0; round < 1000; ++round) {
-        for (int i = 0; i < 5; ++i)
-            ASSERT_TRUE(rb.push(next_in++));
-        for (int i = 0; i < 5; ++i) {
-            const auto v = rb.pop();
-            ASSERT_TRUE(v.has_value());
-            ASSERT_EQ(*v, next_out++);
-        }
-    }
-    EXPECT_EQ(rb.size(), 0u);
-    EXPECT_EQ(rb.dropped(), 0u);
+    auto sampler = every_access(8);
+    for (PageId i = 0; i < 5; ++i)
+        record(sampler, i);
+    std::vector<PebsSample> out;
+    EXPECT_EQ(sampler.drain(out, 3), 3u);
+    EXPECT_EQ(sampler.drain(out, 10), 2u);
+    ASSERT_EQ(out.size(), 5u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i].page, i);
 }
 
 TEST(RingBuffer, ExactDropAccountingUnderSaturation)
 {
-    // A saturating producer (a PEBS burst with no consumer scheduled):
-    // the first `capacity` records land, every later one is dropped and
-    // counted, and nothing already queued is overwritten.
-    RingBuffer<int> rb(8);
-    for (int i = 0; i < 100; ++i)
-        rb.push(i);
-    EXPECT_EQ(rb.size(), 8u);
-    EXPECT_EQ(rb.dropped(), 92u);
-    std::vector<int> out;
-    EXPECT_EQ(rb.drain(out, 100), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+    // A saturating producer (a PEBS burst with no drain scheduled): the
+    // first `capacity` records land, every later one is dropped and
+    // counted, and nothing already buffered is overwritten.
+    auto sampler = every_access(8);
+    for (PageId i = 0; i < 100; ++i)
+        record(sampler, i);
+    EXPECT_EQ(sampler.dropped(), 92u);
+    EXPECT_EQ(drain_pages(sampler, 100),
+              (std::vector<PageId>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(RingBuffer, RecoversAfterDrainedBlackoutBacklog)
 {
-    // Consumer blackout: the producer saturates the buffer, then the
-    // consumer comes back and drains everything. The buffer must accept
-    // new records again with no residual state from the overload.
-    RingBuffer<int> rb(4);
-    for (int i = 0; i < 20; ++i)
-        rb.push(i);
-    const auto dropped_during_blackout = rb.dropped();
+    // Drain blackout: the sampler saturates the buffer, then ksampled
+    // comes back and drains everything. The buffer must accept new
+    // records again with no residual state from the overload.
+    auto sampler = every_access(4);
+    for (PageId i = 0; i < 20; ++i)
+        record(sampler, i);
+    const auto dropped_during_blackout = sampler.dropped();
     EXPECT_EQ(dropped_during_blackout, 16u);
-    std::vector<int> out;
-    rb.drain(out, 100);
-    EXPECT_EQ(rb.size(), 0u);
-    for (int i = 100; i < 104; ++i)
-        EXPECT_TRUE(rb.push(i));
-    EXPECT_EQ(rb.pop().value(), 100);
+    EXPECT_EQ(drain_pages(sampler, 100).size(), 4u);
+    for (PageId i = 100; i < 104; ++i)
+        record(sampler, i);
+    EXPECT_EQ(drain_pages(sampler, 1), std::vector<PageId>{100});
     // No new drops after recovery.
-    EXPECT_EQ(rb.dropped(), dropped_during_blackout);
+    EXPECT_EQ(sampler.dropped(), dropped_during_blackout);
+}
+
+TEST(PebsSampler, CapacityIsExactNotRoundedUp)
+{
+    auto sampler = every_access(5);
+    for (PageId i = 0; i < 8; ++i)
+        record(sampler, i);
+    EXPECT_EQ(sampler.dropped(), 3u);
+    EXPECT_EQ(drain_pages(sampler, 100),
+              (std::vector<PageId>{0, 1, 2, 3, 4}));
+}
+
+TEST(PebsSampler, PartialDrainKeepsFifoAcrossRefills)
+{
+    // A partial drain moves the pending tail to the front; records that
+    // arrive afterwards must queue behind it, cycle after cycle.
+    auto sampler = every_access(8);
+    PageId next_in = 0;
+    PageId next_out = 0;
+    for (int round = 0; round < 1000; ++round) {
+        for (int i = 0; i < 5; ++i)
+            record(sampler, next_in++);
+        // Even rounds leave 2 pending, so the next refill queues behind
+        // a moved tail; odd rounds drain to empty.
+        const std::size_t take = round % 2 == 0 ? 3 : 7;
+        for (const PageId page : drain_pages(sampler, take))
+            ASSERT_EQ(page, next_out++);
+    }
+    EXPECT_EQ(sampler.dropped(), 0u);
+    EXPECT_EQ(drain_pages(sampler, 100).size(),
+              static_cast<std::size_t>(next_in - next_out));
+}
+
+TEST(PebsSamplerDeathTest, ZeroCapacityIsFatal)
+{
+    EXPECT_EXIT((void)every_access(0), ::testing::ExitedWithCode(1),
+                "buffer_capacity");
 }
 
 TEST(PebsSampler, SamplesEveryNth)

@@ -2,11 +2,11 @@
  * @file
  * Property tests for the hot-path containers (DESIGN.md §9).
  *
- * LruLists and RingBuffer sit on the per-sample and per-access paths
- * and were inlined for the hot-path overhaul, so they get randomized
- * operation sequences checked against trivially correct standard-
- * library models: four std::lists (+ a referenced-bit map) for
- * LruLists, a bounded std::deque for RingBuffer. Each trial prints its
+ * LruLists and the PebsSampler buffer sit on the per-sample and
+ * per-access paths and were inlined for the hot-path overhaul, so they
+ * get randomized operation sequences checked against trivially correct
+ * standard-library models: four std::lists (+ a referenced-bit map) for
+ * LruLists, a bounded std::deque for PebsSampler. Each trial prints its
  * seed via SCOPED_TRACE so any failure is replayable by pinning
  * kBaseSeed to the reported value.
  */
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "lru/lru_lists.hpp"
-#include "memsim/ring_buffer.hpp"
+#include "memsim/pebs.hpp"
 #include "util/rng.hpp"
 
 namespace artmem {
@@ -26,7 +26,8 @@ namespace {
 
 using lru::ListId;
 using lru::LruLists;
-using memsim::RingBuffer;
+using memsim::PebsSample;
+using memsim::PebsSampler;
 
 constexpr std::uint64_t kBaseSeed = 0xa11ce5ee;
 
@@ -228,7 +229,8 @@ TEST(Property, LruListsMatchStdListModel)
 }
 
 // ---------------------------------------------------------------------
-// RingBuffer vs a bounded std::deque.
+// PebsSampler's buffer vs a bounded std::deque. Period 1 records every
+// observed access, so the page id is the record's value.
 // ---------------------------------------------------------------------
 
 TEST(Property, RingBufferMatchesDequeModel)
@@ -240,62 +242,56 @@ TEST(Property, RingBufferMatchesDequeModel)
                      << "replay seed=" << seed << " (trial " << trial
                      << ")");
         Rng rng(seed);
-        const std::size_t requested = 1 + rng.next_below(96);
-        RingBuffer<std::uint64_t> ring(requested);
-        std::size_t cap = 1;
-        while (cap < requested)
-            cap <<= 1;
-        ASSERT_EQ(ring.capacity(), cap);
+        const std::size_t cap = 1 + rng.next_below(96);
+        PebsSampler sampler({.period = 1, .buffer_capacity = cap});
 
-        std::deque<std::uint64_t> model;
+        std::deque<PageId> model;
         std::uint64_t model_dropped = 0;
-        std::uint64_t next_value = 0;
+        std::uint64_t drained = 0;
+        PageId next_value = 0;
+        // Drain up to max_items from both sides and compare.
+        const auto drain_both = [&](std::size_t max_items) {
+            std::vector<PebsSample> got;
+            sampler.drain(got, max_items);
+            drained += got.size();
+            std::vector<PageId> got_pages;
+            for (const auto& sample : got)
+                got_pages.push_back(sample.page);
+            std::vector<PageId> want;
+            while (want.size() < max_items && !model.empty()) {
+                want.push_back(model.front());
+                model.pop_front();
+            }
+            ASSERT_EQ(got_pages, want);
+        };
         for (int op = 0; op < 4000; ++op) {
             switch (rng.next_below(4)) {
             case 0:
             case 1: {
-                // Push burst — overflows on purpose ("blackout" drain
-                // pauses leave the producer running).
+                // Record burst — overflows on purpose ("blackout" drain
+                // pauses leave the sampler running).
                 const std::size_t burst = 1 + rng.next_below(cap + 8);
                 for (std::size_t i = 0; i < burst; ++i) {
-                    const bool pushed = ring.push(next_value);
-                    if (model.size() < cap) {
-                        ASSERT_TRUE(pushed);
+                    sampler.observe(next_value, memsim::Tier::kFast);
+                    if (model.size() < cap)
                         model.push_back(next_value);
-                    } else {
-                        ASSERT_FALSE(pushed);
+                    else
                         ++model_dropped;
-                    }
                     ++next_value;
                 }
                 break;
             }
-            case 2: {
-                auto got = ring.pop();
-                if (model.empty()) {
-                    ASSERT_FALSE(got.has_value());
-                } else {
-                    ASSERT_TRUE(got.has_value());
-                    ASSERT_EQ(*got, model.front());
-                    model.pop_front();
-                }
+            case 2:
+                drain_both(1);
+                break;
+            case 3:
+                drain_both(rng.next_below(cap + 2));
                 break;
             }
-            case 3: {
-                const std::size_t max_items = rng.next_below(cap + 2);
-                std::vector<std::uint64_t> got;
-                ring.drain(got, max_items);
-                std::vector<std::uint64_t> want;
-                while (want.size() < max_items && !model.empty()) {
-                    want.push_back(model.front());
-                    model.pop_front();
-                }
-                ASSERT_EQ(got, want);
-                break;
-            }
-            }
-            ASSERT_EQ(ring.size(), model.size());
-            ASSERT_EQ(ring.dropped(), model_dropped);
+            ASSERT_EQ(sampler.recorded(), next_value);
+            ASSERT_EQ(sampler.dropped(), model_dropped);
+            ASSERT_EQ(sampler.recorded() - sampler.dropped() - drained,
+                      model.size());
             if (testing::Test::HasFailure())
                 return;
         }

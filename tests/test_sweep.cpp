@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep subsystem: seed
- * derivation, the thread pool, SweepRunner determinism across worker
+ * derivation, worker dispatch, SweepRunner determinism across worker
  * counts, exception propagation, ResultSink emission, and the
  * BenchOptions --quick/--accesses contract.
  */
@@ -16,7 +16,6 @@
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace artmem {
 namespace {
@@ -60,45 +59,47 @@ TEST(DeriveSeed, IndependentOfGridShape)
     }
 }
 
-// ----------------------------------------------------------- ThreadPool
+// ------------------------------------------------------ worker dispatch
+// SweepRunner's index-claiming workers. The ThreadPool suite name is
+// kept from the general pool these workers replaced.
 
 TEST(ThreadPool, RunsEveryTask)
 {
-    ThreadPool pool(4);
+    sweep::SweepRunner runner({.jobs = 4, .progress = false});
     std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
+    const auto out = runner.map<int>(100, [&counter](std::size_t) {
+        return ++counter;
+    });
     EXPECT_EQ(counter.load(), 100);
+    // Each job ran exactly once: every count 1..100 was returned once.
+    EXPECT_EQ(std::set<int>(out.begin(), out.end()).size(), 100u);
 }
 
 TEST(ThreadPool, ReusableAcrossWaits)
 {
-    ThreadPool pool(2);
+    sweep::SweepRunner runner({.jobs = 2, .progress = false});
     std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 2);
+    const auto bump = [&counter](std::size_t) { return ++counter; };
+    (void)runner.map<int>(3, bump);
+    (void)runner.map<int>(5, bump);
+    EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(ThreadPool, PropagatesFirstExceptionWithoutDeadlock)
 {
-    ThreadPool pool(2);
+    sweep::SweepRunner runner({.jobs = 2, .progress = false});
     std::atomic<int> completed{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&completed, i] {
-            if (i == 3)
-                throw std::runtime_error("job 3 failed");
-            ++completed;
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Every non-throwing task still ran; the pool stays usable.
+    const auto job = [&completed](std::size_t i) {
+        if (i == 3)
+            throw std::runtime_error("job 3 failed");
+        return ++completed;
+    };
+    EXPECT_THROW((void)runner.map<int>(20, job), std::runtime_error);
+    // Every non-throwing job still ran; the runner stays usable.
     EXPECT_EQ(completed.load(), 19);
-    pool.submit([&completed] { ++completed; });
-    pool.wait();
+    (void)runner.map<int>(1, [&completed](std::size_t) {
+        return ++completed;
+    });
     EXPECT_EQ(completed.load(), 20);
 }
 

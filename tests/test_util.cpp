@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <sstream>
 
@@ -280,6 +281,37 @@ TEST(KvConfig, OverwriteAndHas)
     EXPECT_FALSE(cfg.has("other"));
 }
 
+TEST(KvConfig, OverflowingIntegerIsFatal)
+{
+    // strtoll saturates to LLONG_MAX on overflow; the value must not
+    // silently become a huge count.
+    KvConfig cfg;
+    cfg.set("fault.seed", "99999999999999999999");
+    EXPECT_EXIT((void)cfg.get_int("fault.seed", 0),
+                ::testing::ExitedWithCode(1),
+                "KvConfig: key 'fault.seed' is out of range");
+    cfg.set("fault.seed", "12abc");
+    EXPECT_EXIT((void)cfg.get_int("fault.seed", 0),
+                ::testing::ExitedWithCode(1),
+                "KvConfig: key 'fault.seed' expects an integer, got '12abc'");
+}
+
+TEST(ParseInt, AcceptsWholeIntegersOnly)
+{
+    EXPECT_EQ(parse_int("42", "n"), 42);
+    EXPECT_EQ(parse_int("-7", "n"), -7);
+    EXPECT_EQ(parse_int("0x10", "n"), 16);
+    EXPECT_EQ(parse_int("9223372036854775807", "n"), LLONG_MAX);
+    EXPECT_EXIT((void)parse_int("", "n"), ::testing::ExitedWithCode(1),
+                "n expects an integer, got ''");
+    EXPECT_EXIT((void)parse_int(" 1", "n"), ::testing::ExitedWithCode(1),
+                "n expects an integer");
+    EXPECT_EXIT((void)parse_int("9223372036854775808", "n"),
+                ::testing::ExitedWithCode(1), "n is out of range");
+    EXPECT_EXIT((void)parse_int("-9223372036854775809", "n"),
+                ::testing::ExitedWithCode(1), "n is out of range");
+}
+
 TEST(CliArgs, ParsesAllForms)
 {
     const char* argv[] = {"prog", "--alpha=0.5", "--name=x", "--verbose",
@@ -301,6 +333,46 @@ TEST(CliArgs, RequireKnownNamesTheUnknownFlag)
     static constexpr std::string_view kKnown[] = {"workload"};
     EXPECT_EXIT(args.require_known({kKnown}), ::testing::ExitedWithCode(1),
                 "unknown flag --bogus \\(known flags: --workload\\)");
+}
+
+TEST(CliArgs, CountsRejectNegativeAndOversizedValues)
+{
+    const char* argv[] = {"prog", "--accesses=-1", "--jobs=4294967296",
+                          "--seed=5"};
+    const auto args = CliArgs::parse(4, const_cast<char**>(argv));
+    EXPECT_EQ(args.get_count("seed", 0), 5u);
+    EXPECT_EQ(args.get_count("missing", 11), 11u);
+    EXPECT_EXIT((void)args.get_count("accesses", 0),
+                ::testing::ExitedWithCode(1),
+                "flag --accesses must not be negative, got -1");
+    EXPECT_EXIT((void)args.get_count("jobs", 0, UINT_MAX),
+                ::testing::ExitedWithCode(1),
+                "flag --jobs must be at most 4294967295");
+}
+
+TEST(CliArgs, NegativeBenchJobsIsFatal)
+{
+    // Parsing only: BenchOptions::parse starts no threads.
+    const char* argv[] = {"bench", "--jobs=-1"};
+    EXPECT_EXIT(bench::BenchOptions::parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(1),
+                "flag --jobs must not be negative");
+}
+
+TEST(RatioSpec, ParsesPositiveWholeParts)
+{
+    const auto ratio = sim::RatioSpec::parse("1:16");
+    EXPECT_EQ(ratio.fast, 1);
+    EXPECT_EQ(ratio.slow, 16);
+    EXPECT_EXIT((void)sim::RatioSpec::parse("1-4"),
+                ::testing::ExitedWithCode(1), "--ratio expects fast:slow");
+    EXPECT_EXIT((void)sim::RatioSpec::parse("0:4"),
+                ::testing::ExitedWithCode(1), "--ratio parts must be in");
+    EXPECT_EXIT((void)sim::RatioSpec::parse("1:4294967297"),
+                ::testing::ExitedWithCode(1), "--ratio parts must be in");
+    EXPECT_EXIT((void)sim::RatioSpec::parse("1:4x"),
+                ::testing::ExitedWithCode(1),
+                "--ratio part expects an integer, got '4x'");
 }
 
 TEST(CliArgs, RetiredShardsFlagIsFatal)

@@ -19,6 +19,7 @@
  * Observability (run and sweep; DESIGN.md section 8):
  *   --metrics-out=FILE --trace-out=BASE --trace-categories=LIST --profile
  */
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -51,21 +52,6 @@ constexpr std::string_view kSpecFlags[] = {
 constexpr std::string_view kTelemetryFlags[] = {
     "metrics-out", "trace-out", "trace-categories", "profile"};
 
-sim::RatioSpec
-parse_ratio(const CliArgs& args)
-{
-    sim::RatioSpec ratio{1, 1};
-    const std::string text = args.get_string("ratio", "1:1");
-    const auto colon = text.find(':');
-    if (colon == std::string::npos)
-        fatal("--ratio expects fast:slow, got '", text, "'");
-    ratio.fast = std::stoi(text.substr(0, colon));
-    ratio.slow = std::stoi(text.substr(colon + 1));
-    if (ratio.fast <= 0 || ratio.slow <= 0)
-        fatal("--ratio parts must be positive");
-    return ratio;
-}
-
 /** --accesses; refused for a file-backed workload, whose count is the
  *  file's. */
 std::uint64_t
@@ -74,7 +60,7 @@ parse_accesses(const CliArgs& args, const std::string& workload)
     if (args.has("accesses") && workloads::is_file_backed(workload))
         fatal("--accesses does not apply to --workload=", workload,
               ": the access count comes from the file");
-    return static_cast<std::uint64_t>(args.get_int("accesses", 6000000));
+    return args.get_count("accesses", 6000000);
 }
 
 sim::RunSpec
@@ -83,7 +69,7 @@ parse_spec(const CliArgs& args)
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
     spec.policy = args.get_string("policy", "artmem");
-    spec.ratio = parse_ratio(args);
+    spec.ratio = sim::RatioSpec::parse(args.get_string("ratio", "1:1"));
     spec.accesses = parse_accesses(args, spec.workload);
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     spec.engine.check_invariants =
@@ -353,7 +339,8 @@ cmd_sweep(const CliArgs& args)
         sweepspec.derive_seeds(spec.seed);
 
     sweep::SweepRunner runner(
-        {.jobs = static_cast<unsigned>(args.get_int("jobs", 0)),
+        {.jobs = static_cast<unsigned>(
+             args.get_count("jobs", 0, UINT_MAX)),
          .progress = true});
     const auto runs = runner.run(sweepspec);
 
