@@ -366,6 +366,32 @@ BENCHMARK_CAPTURE(BM_SimThroughputTenantsTx, tenants16, 16u)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+void
+BM_SimThroughputAutoTiering(benchmark::State& state, const char* workload,
+                            int slow_parts)
+{
+    // AutoTiering at 1:16, the Figure 7 grid's costliest cell: almost
+    // every hint fault queues for the exchange pass, and each queued
+    // fault searches the fast tier for a cold victim. Gates that search
+    // (the fast-page index, DESIGN.md section 4), which no ArtMem entry
+    // above reaches.
+    sim::RunSpec spec;
+    spec.workload = workload;
+    spec.policy = "autotiering";
+    spec.ratio = {1, slow_parts};
+    spec.accesses = 2000000;
+    spec.seed = 42;
+    for (auto _ : state) {
+        const auto r = sim::run_experiment(spec);
+        benchmark::DoNotOptimize(r.fast_ratio);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(spec.accesses));
+}
+BENCHMARK_CAPTURE(BM_SimThroughputAutoTiering, cc_1_16, "cc", 16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /** Prints the Section 6.4 summary around the google-benchmark run. */
 class OverheadReporter : public benchmark::ConsoleReporter
 {

@@ -14,6 +14,11 @@ AutoTiering::init(memsim::TieredMachine& machine)
         ScanThrottle(config_.scan_fraction, config_.target_faults_per_tick);
     scan_cursor_ = 0;
     victim_cursor_ = 0;
+    // At most one slot per fast-tier page: the index never reallocates.
+    fast_pages_.clear();
+    fast_pages_.reserve(std::min(machine.page_count(),
+                                 machine.capacity_pages(memsim::Tier::kFast)));
+    fast_pages_stale_ = true;
     machine.set_fault_handler(
         [this](PageId page, memsim::Tier tier) { on_hint_fault(page, tier); });
 }
@@ -58,30 +63,59 @@ AutoTiering::on_tick(SimTimeNs now)
     m.charge_overhead(window * config_.scan_cost_ns);
 }
 
+void
+AutoTiering::rebuild_fast_index()
+{
+    const auto& m = machine();
+    fast_pages_.clear();
+    const std::size_t pages = m.page_count();
+    for (std::size_t i = 0; i < pages; ++i) {
+        const auto page = static_cast<PageId>(i);
+        if (m.is_allocated(page) &&
+            m.tier_of_unchecked(page) == memsim::Tier::kFast)
+            fast_pages_.push_back(page);
+    }
+    fast_pages_stale_ = false;
+}
+
 PageId
 AutoTiering::find_cold_fast_page()
 {
-    // Sampled min-scan over fast-tier pages by fault count.
-    auto& m = machine();
-    const std::size_t pages = m.page_count();
+    // Sampled min-scan by fault count over the next victim_scan
+    // fast-tier pages in page-id order from the cursor, wrapping: the
+    // pages a walk over page ids would examine, without visiting the
+    // slow and unallocated ids in between.
+    if (fast_pages_stale_)
+        rebuild_fast_index();
+    const PageId start = victim_cursor_;
+    const std::size_t fast = fast_pages_.size();
+    const std::size_t examined = std::min(fast, config_.victim_scan);
     PageId coldest = kInvalidPage;
-    std::uint32_t coldest_count = ~0u;
-    std::size_t examined = 0;
-    for (std::size_t i = 0; i < pages && examined < config_.victim_scan;
-         ++i) {
-        const PageId page = victim_cursor_;
-        victim_cursor_ = static_cast<PageId>((victim_cursor_ + 1) % pages);
-        if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
-            continue;
+    if (examined > 0) {
+        std::uint32_t coldest_count = ~0u;
+        auto i = static_cast<std::size_t>(
+            std::lower_bound(fast_pages_.begin(), fast_pages_.end(), start) -
+            fast_pages_.begin());
+        PageId page = kInvalidPage;
+        for (std::size_t n = 0; n < examined; ++n, ++i) {
+            if (i == fast)
+                i = 0;
+            page = fast_pages_[i];
+            if (fault_count_[page] < coldest_count) {
+                coldest_count = fault_count_[page];
+                coldest = page;
+            }
         }
-        ++examined;
-        if (fault_count_[page] < coldest_count) {
-            coldest_count = fault_count_[page];
-            coldest = page;
-        }
+        // A walk that examined victim_scan pages stops just past the
+        // last one; with fewer fast pages it went full circle back to
+        // the cursor.
+        if (examined == config_.victim_scan)
+            victim_cursor_ =
+                static_cast<PageId>((page + 1) % machine().page_count());
     }
-    m.charge_overhead(examined * config_.scan_cost_ns);
+    machine().charge_overhead(examined * config_.scan_cost_ns);
+    if (on_victim_search_)
+        on_victim_search_(start, coldest, examined);
     return coldest;
 }
 
@@ -90,6 +124,7 @@ AutoTiering::on_interval(SimTimeNs now)
 {
     auto& m = machine();
     std::size_t exchanged = 0;
+    fast_pages_stale_ = true;
     for (PageId page : exchange_queue_) {
         if (exchanged >= config_.exchange_limit)
             break;
@@ -99,6 +134,7 @@ AutoTiering::on_interval(SimTimeNs now)
         }
         if (m.free_pages(memsim::Tier::kFast) > 0) {
             const auto result = m.migrate(page, memsim::Tier::kFast);
+            fast_pages_stale_ = true;
             if (result.ok() || result.pending())
                 ++exchanged;
             continue;
@@ -111,6 +147,7 @@ AutoTiering::on_interval(SimTimeNs now)
         // of equal heat).
         if (fault_count_[page] > fault_count_[victim] + 1) {
             const auto result = m.exchange(page, victim);
+            fast_pages_stale_ = true;
             if (result.ok() || result.pending())
                 ++exchanged;
         }

@@ -14,6 +14,7 @@
 #ifndef ARTMEM_POLICIES_AUTOTIERING_HPP
 #define ARTMEM_POLICIES_AUTOTIERING_HPP
 
+#include <functional>
 #include <vector>
 
 #include "policies/policy.hpp"
@@ -52,11 +53,25 @@ class AutoTiering final : public Policy
     void on_interval(SimTimeNs now) override;
 
   private:
+    friend struct AutoTieringTestPeer;
+
+    void rebuild_fast_index();
     PageId find_cold_fast_page();
 
     Config config_;
     std::vector<std::uint32_t> fault_count_;
     std::vector<PageId> exchange_queue_;
+    /**
+     * Sorted allocated fast-tier pages: the victim search's candidates.
+     * Rebuilt at the first search of each exchange pass and after every
+     * migrate()/exchange() inside it — nothing else changes tiers while
+     * the pass runs.
+     */
+    std::vector<PageId> fast_pages_;
+    bool fast_pages_stale_ = true;
+    /** Test-only observer of each victim search: (cursor before the
+     *  search, victim, pages examined). Null outside tests. */
+    std::function<void(PageId, PageId, std::size_t)> on_victim_search_;
     ScanThrottle throttle_{1.0 / 32.0, 48};
     PageId scan_cursor_ = 0;
     PageId victim_cursor_ = 0;

@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/config.hpp"
 #include "util/logging.hpp"
@@ -89,14 +88,10 @@ std::uint64_t
 CliArgs::get_count(const std::string& name, std::uint64_t fallback,
                    std::uint64_t max) const
 {
-    if (!has(name))
+    auto it = flags_.find(name);
+    if (it == flags_.end())
         return fallback;
-    const long long parsed = get_int(name, 0);
-    if (parsed < 0)
-        fatal("flag --", name, " must not be negative, got ", parsed);
-    if (static_cast<std::uint64_t>(parsed) > max)
-        fatal("flag --", name, " must be at most ", max, ", got ", parsed);
-    return static_cast<std::uint64_t>(parsed);
+    return parse_count(it->second, "flag --" + name, max);
 }
 
 double
@@ -105,11 +100,7 @@ CliArgs::get_double(const std::string& name, double fallback) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("flag --", name, " expects a number, got '", it->second, "'");
-    return parsed;
+    return parse_double(it->second, "flag --" + name);
 }
 
 bool

@@ -46,7 +46,8 @@ class CliArgs
     std::uint64_t get_count(const std::string& name, std::uint64_t fallback,
                             std::uint64_t max = UINT64_MAX) const;
 
-    /** Double flag with default; fatal if malformed. */
+    /** Finite double flag with default; fatal if malformed, non-finite
+     *  or out of range. */
     double get_double(const std::string& name, double fallback) const;
 
     /** Boolean flag: present without value or with true/false. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -39,6 +40,35 @@ parse_int(const std::string& text, std::string_view what)
         fatal(what, " expects an integer, got '", text, "'");
     if (errno == ERANGE)
         fatal(what, " is out of range, got '", text, "'");
+    return parsed;
+}
+
+std::uint64_t
+parse_count(const std::string& text, std::string_view what,
+            std::uint64_t max)
+{
+    const long long parsed = parse_int(text, what);
+    if (parsed < 0)
+        fatal(what, " must not be negative, got ", parsed);
+    if (static_cast<std::uint64_t>(parsed) > max)
+        fatal(what, " must be at most ", max, ", got ", parsed);
+    return static_cast<std::uint64_t>(parsed);
+}
+
+double
+parse_double(const std::string& text, std::string_view what)
+{
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(text[0])))
+        fatal(what, " expects a number, got '", text, "'");
+    if (errno == ERANGE)
+        fatal(what, " is out of range, got '", text, "'");
+    if (!std::isfinite(parsed))
+        fatal(what, " expects a finite number, got '", text, "'");
     return parsed;
 }
 
@@ -123,17 +153,23 @@ KvConfig::get_int(const std::string& key, long long fallback) const
     return parse_int(*v, "KvConfig: key '" + key + "'");
 }
 
+std::uint64_t
+KvConfig::get_count(const std::string& key, std::uint64_t fallback,
+                    std::uint64_t max) const
+{
+    auto v = get(key);
+    if (!v)
+        return fallback;
+    return parse_count(*v, "KvConfig: key '" + key + "'", max);
+}
+
 double
 KvConfig::get_double(const std::string& key, double fallback) const
 {
     auto v = get(key);
     if (!v)
         return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0')
-        fatal("KvConfig: key '", key, "' is not a number: ", *v);
-    return parsed;
+    return parse_double(*v, "KvConfig: key '" + key + "'");
 }
 
 std::vector<std::string>

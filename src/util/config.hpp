@@ -7,6 +7,7 @@
 #ifndef ARTMEM_UTIL_CONFIG_HPP
 #define ARTMEM_UTIL_CONFIG_HPP
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,6 +24,23 @@ namespace artmem {
  * key.
  */
 long long parse_int(const std::string& text, std::string_view what);
+
+/**
+ * parse_int() for a count: also fatal() naming @p what when the value
+ * is negative or above @p max (the target type's range). Behind
+ * CliArgs::get_count and KvConfig::get_count.
+ */
+std::uint64_t parse_count(const std::string& text, std::string_view what,
+                          std::uint64_t max);
+
+/**
+ * Whole-string finite double in strtod's syntax. fatal() naming
+ * @p what when @p text is empty, starts with whitespace, has anything
+ * after the number, is nan or inf, or over- or underflows a double
+ * (ERANGE). The one floating-point parse behind every flag and config
+ * key, so a range check written as `x < lo || x > hi` never sees NaN.
+ */
+double parse_double(const std::string& text, std::string_view what);
 
 /** A flat string-to-string configuration map with typed accessors. */
 class KvConfig
@@ -52,7 +70,13 @@ class KvConfig
     /** Integer with default; fatal if present but not parseable. */
     long long get_int(const std::string& key, long long fallback) const;
 
-    /** Double with default; fatal if present but not parseable. */
+    /** Count with default; fatal if malformed, negative or above
+     *  @p max (parse_count). */
+    std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                            std::uint64_t max = UINT64_MAX) const;
+
+    /** Finite double with default; fatal if present but malformed,
+     *  non-finite or out of range. */
     double get_double(const std::string& key, double fallback) const;
 
     /** Boolean with default; accepts true/false/1/0/yes/no. */

@@ -50,6 +50,7 @@
 #include "memsim/fault_injector.hpp"
 #include "memsim/pebs.hpp"
 #include "memsim/tiered_machine.hpp"
+#include "policies/autotiering.hpp"
 #include "policies/policy.hpp"
 #include "sim/experiment.hpp"
 #include "stats/ema_bins.hpp"
@@ -58,6 +59,7 @@
 #include "verify/invariant_checker.hpp"
 
 #include "artmem_peer.hpp"
+#include "autotiering_peer.hpp"
 
 namespace artmem {
 namespace {
@@ -863,6 +865,155 @@ TEST_P(CandidateWalk, BoundedWalkMatchesFullWalkEveryInterval)
 
 INSTANTIATE_TEST_SUITE_P(
     Runs, CandidateWalk, ::testing::ValuesIn(candidate_cases()),
+    [](const auto& suite_info) {
+        return std::string(suite_info.param.name);
+    });
+
+// ---------------------------------------------------------------------
+// AutoTiering exchange victims: fast-page index vs a page-id walk.
+// ---------------------------------------------------------------------
+
+using policies::AutoTieringTestPeer;
+
+/** What one victim search chose. */
+struct VictimPick {
+    PageId victim = kInvalidPage;
+    PageId cursor_after = 0;
+    std::size_t examined = 0;
+};
+
+/**
+ * The page-id walk the index replaced: visit ids cyclically from
+ * @p cursor until @p victim_scan allocated fast-tier pages were
+ * examined or every id was visited once; the first minimum fault count
+ * wins and the cursor stops just past the last visited id.
+ */
+VictimPick
+naive_victim_walk(const TieredMachine& m, const policies::AutoTiering& policy,
+                  PageId cursor, std::size_t victim_scan)
+{
+    const std::size_t pages = m.page_count();
+    VictimPick pick;
+    std::uint32_t coldest_count = ~0u;
+    for (std::size_t i = 0; i < pages && pick.examined < victim_scan; ++i) {
+        const PageId page = cursor;
+        cursor = static_cast<PageId>((cursor + 1) % pages);
+        if (!m.is_allocated(page) || m.tier_of(page) != Tier::kFast)
+            continue;
+        ++pick.examined;
+        const std::uint32_t count =
+            AutoTieringTestPeer::fault_count(policy, page);
+        if (count < coldest_count) {
+            coldest_count = count;
+            pick.victim = page;
+        }
+    }
+    pick.cursor_after = cursor;
+    return pick;
+}
+
+struct VictimCase {
+    const char* name;
+    sim::RunSpec spec;
+    /** The run exchanges pages, so searches follow in-pass swaps. */
+    bool exchanges = true;
+};
+
+void
+PrintTo(const VictimCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+sim::RunSpec
+victim_spec(const char* workload, int slow_parts)
+{
+    sim::RunSpec spec;
+    spec.workload = workload;
+    spec.policy = "autotiering";
+    spec.ratio = {1, slow_parts};
+    spec.accesses = 500000;
+    spec.seed = 8;
+    return spec;
+}
+
+std::vector<VictimCase>
+victim_cases()
+{
+    std::vector<VictimCase> cases;
+    // cc at 1:16 searches once per queued fault but, at this length,
+    // never passes the CPM margin check (ROADMAP item 1's follow-up).
+    cases.push_back({"cc_1_16", victim_spec("cc", 16), false});
+    {
+        // Pending exchanges keep both pages dual-resident until the
+        // transaction resolves.
+        VictimCase c{"ycsb_tx", victim_spec("ycsb", 4)};
+        c.spec.accesses = 1000000;
+        c.spec.engine.tx.enabled = true;
+        c.spec.engine.tx.seed = 8;
+        cases.push_back(c);
+    }
+    {
+        VictimCase c{"s2_fault_migration", victim_spec("s2", 4)};
+        c.spec.engine.faults = memsim::make_fault_scenario("migration", 1);
+        cases.push_back(c);
+    }
+    {
+        VictimCase c{"tenants4_quota", victim_spec("s2", 4)};
+        c.spec.accesses = 1000000;
+        c.spec.tenancy.tenants = 4;
+        c.spec.tenancy.quota_share = 0.3;
+        cases.push_back(c);
+    }
+    return cases;
+}
+
+class VictimIndex : public ::testing::TestWithParam<VictimCase>
+{
+};
+
+TEST_P(VictimIndex, IndexedSearchMatchesPageWalkEveryCall)
+{
+    const VictimCase& c = GetParam();
+    policies::AutoTiering checked;
+    std::uint64_t searches = 0;
+    std::uint64_t found = 0;
+    AutoTieringTestPeer::observe_searches(
+        checked, [&](PageId cursor, PageId victim, std::size_t examined) {
+            if (testing::Test::HasFatalFailure())
+                return;
+            // The search only moved the cursor and charged time, so
+            // the machine is in the state the search read.
+            const VictimPick expect = naive_victim_walk(
+                AutoTieringTestPeer::machine(checked), checked, cursor,
+                AutoTieringTestPeer::victim_scan(checked));
+            ASSERT_EQ(victim, expect.victim) << "search " << searches;
+            ASSERT_EQ(AutoTieringTestPeer::victim_cursor(checked),
+                      expect.cursor_after)
+                << "search " << searches;
+            ASSERT_EQ(examined, expect.examined) << "search " << searches;
+            ++searches;
+            found += victim != kInvalidPage ? 1 : 0;
+        });
+    const auto result = sim::run_experiment(c.spec, checked);
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    EXPECT_GT(searches, 0u);
+    EXPECT_GT(found, 0u);
+    if (c.exchanges) {
+        EXPECT_GT(result.totals.exchanges, 0u);
+    }
+
+    // The observer must not have perturbed the run.
+    policies::AutoTiering plain;
+    const auto reference = sim::run_experiment(c.spec, plain);
+    EXPECT_EQ(result.runtime_ns, reference.runtime_ns);
+    EXPECT_EQ(result.totals.overhead_ns, reference.totals.overhead_ns);
+    EXPECT_EQ(result.totals.exchanges, reference.totals.exchanges);
+    EXPECT_EQ(result.totals.promoted_pages, reference.totals.promoted_pages);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, VictimIndex, ::testing::ValuesIn(victim_cases()),
     [](const auto& suite_info) {
         return std::string(suite_info.param.name);
     });

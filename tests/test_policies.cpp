@@ -17,6 +17,8 @@
 #include "sim/registry.hpp"
 #include "workloads/masim.hpp"
 
+#include "autotiering_peer.hpp"
+
 namespace artmem::policies {
 namespace {
 
@@ -135,6 +137,146 @@ TEST(AutoTiering, UsesExchangesWhenFastIsFull)
     AutoTiering policy;
     const auto r = run_policy(policy);
     EXPECT_GT(r.totals.exchanges + r.totals.promoted_pages, 0u);
+}
+
+/** 16 pages, 4 fast slots. */
+memsim::MachineConfig
+victim_machine()
+{
+    memsim::MachineConfig cfg;
+    cfg.page_size = kPage;
+    cfg.address_space = 16 * kPage;
+    cfg.tiers[0].capacity = 4 * kPage;
+    cfg.tiers[1].capacity = 16 * kPage;
+    return cfg;
+}
+
+/**
+ * Allocate every page: 0-3 fast, 4-15 slow. With @p split, page 1 then
+ * moves to the slow tier and page 9 to the fast one, so the fast pages
+ * are {0, 2, 3, 9}.
+ */
+void
+prefault_victims(memsim::TieredMachine& machine, bool split)
+{
+    machine.prefault_range(0, 16);
+    if (split) {
+        ASSERT_TRUE(machine.migrate(1, memsim::Tier::kSlow).ok());
+        ASSERT_TRUE(machine.migrate(9, memsim::Tier::kFast).ok());
+    }
+}
+
+AutoTiering
+victim_policy(std::size_t victim_scan)
+{
+    AutoTiering::Config cfg;
+    cfg.victim_scan = victim_scan;
+    return AutoTiering(cfg);
+}
+
+TEST(AutoTieringVictim, FewerFastPagesThanScanKeepsCursor)
+{
+    memsim::TieredMachine machine(victim_machine());
+    ASSERT_NO_FATAL_FAILURE(prefault_victims(machine, true));
+    auto policy = victim_policy(8);
+    policy.init(machine);
+    for (const PageId page : {0u, 2u, 3u, 9u})
+        AutoTieringTestPeer::set_fault_count(policy, page, 3);
+    AutoTieringTestPeer::set_fault_count(policy, 2, 1);
+    AutoTieringTestPeer::set_victim_cursor(policy, 5);
+    const auto before = machine.totals().overhead_ns;
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 2u);
+    // Four fast pages < victim_scan: the page walk went full circle.
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 5u);
+    EXPECT_EQ(machine.totals().overhead_ns - before, 4u * 8u);
+}
+
+TEST(AutoTieringVictim, ExactlyScanFastPagesMovesCursorPastLast)
+{
+    memsim::TieredMachine machine(victim_machine());
+    ASSERT_NO_FATAL_FAILURE(prefault_victims(machine, true));
+    auto policy = victim_policy(4);
+    policy.init(machine);
+    AutoTieringTestPeer::set_fault_count(policy, 0, 2);
+    AutoTieringTestPeer::set_fault_count(policy, 2, 2);
+    AutoTieringTestPeer::set_fault_count(policy, 3, 5);
+    AutoTieringTestPeer::set_fault_count(policy, 9, 5);
+    // From 12 the search wraps to 0, 2, 3, 9 and stops past page 9.
+    AutoTieringTestPeer::set_victim_cursor(policy, 12);
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 0u);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 10u);
+    // From 6 it examines 9, 0, 2, 3: the cursor moves back to 4.
+    AutoTieringTestPeer::set_victim_cursor(policy, 6);
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 0u);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 4u);
+    // From 1 it examines 2, 3, 9, 0: the tie goes to the first minimum
+    // in search order, and the cursor lands past page 0 again.
+    AutoTieringTestPeer::set_victim_cursor(policy, 1);
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 2u);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 1u);
+}
+
+TEST(AutoTieringVictim, NoFastPagesReturnsInvalidAndChargesNothing)
+{
+    memsim::TieredMachine machine(victim_machine());
+    auto policy = victim_policy(4);
+    policy.init(machine);  // nothing allocated yet
+    AutoTieringTestPeer::set_victim_cursor(policy, 7);
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), kInvalidPage);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 7u);
+    EXPECT_EQ(machine.totals().overhead_ns, 0u);
+}
+
+TEST(AutoTieringVictim, CursorPastLastFastPageWrapsToFirst)
+{
+    memsim::TieredMachine machine(victim_machine());
+    ASSERT_NO_FATAL_FAILURE(prefault_victims(machine, true));
+    auto policy = victim_policy(2);
+    policy.init(machine);
+    for (const PageId page : {0u, 2u, 3u, 9u})
+        AutoTieringTestPeer::set_fault_count(policy, page, 4);
+    AutoTieringTestPeer::set_fault_count(policy, 0, 1);
+    // From 12 no fast page lies ahead: the search wraps to 0, then 2.
+    AutoTieringTestPeer::set_victim_cursor(policy, 12);
+    const auto before = machine.totals().overhead_ns;
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 0u);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 3u);
+    EXPECT_EQ(machine.totals().overhead_ns - before, 2u * 8u);
+    // From 9 it examines 9, wraps to 0 and stops past it.
+    AutoTieringTestPeer::set_victim_cursor(policy, 9);
+    EXPECT_EQ(AutoTieringTestPeer::find_cold_fast_page(policy), 0u);
+    EXPECT_EQ(AutoTieringTestPeer::victim_cursor(policy), 1u);
+}
+
+TEST(AutoTieringVictim, ExchangeInsidePassIsSeenByNextSearch)
+{
+    memsim::TieredMachine machine(victim_machine());
+    ASSERT_NO_FATAL_FAILURE(prefault_victims(machine, false));
+    AutoTiering policy;
+    policy.init(machine);
+    // Fast tier full: faults on slow pages 8 and 9 queue for the pass.
+    policy.on_hint_fault(8, memsim::Tier::kSlow);
+    policy.on_hint_fault(9, memsim::Tier::kSlow);
+    AutoTieringTestPeer::set_fault_count(policy, 8, 10);
+    AutoTieringTestPeer::set_fault_count(policy, 9, 10);
+    AutoTieringTestPeer::set_fault_count(policy, 0, 0);
+    for (const PageId page : {1u, 2u, 3u})
+        AutoTieringTestPeer::set_fault_count(policy, page, 5);
+    std::vector<PageId> victims;
+    AutoTieringTestPeer::observe_searches(
+        policy, [&](PageId, PageId victim, std::size_t examined) {
+            victims.push_back(victim);
+            EXPECT_EQ(examined, 4u);
+        });
+    policy.on_interval(machine.now());
+    // The second search must see page 0 slow and page 8 fast: a stale
+    // index would pick page 0 again and the exchange would fail.
+    EXPECT_EQ(victims, (std::vector<PageId>{0, 1}));
+    EXPECT_EQ(machine.totals().exchanges, 2u);
+    EXPECT_EQ(machine.tier_of(8), memsim::Tier::kFast);
+    EXPECT_EQ(machine.tier_of(9), memsim::Tier::kFast);
+    EXPECT_EQ(machine.tier_of(0), memsim::Tier::kSlow);
+    EXPECT_EQ(machine.tier_of(1), memsim::Tier::kSlow);
 }
 
 TEST(Nimble, MigratesInBatches)

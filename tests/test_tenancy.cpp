@@ -338,6 +338,28 @@ TEST(TenancyConfigParse, KvRoundTripAndUnknownKey)
                 ::testing::ExitedWithCode(1), "unknown key");
 }
 
+TEST(TenancyConfigParse, OutOfRangeCountsAndNonFiniteSharesAreFatal)
+{
+    // Each value used to be cast straight to its unsigned field: 2^32 + 2
+    // tenants ran as 2, and a negative quantum wrapped to a huge one.
+    const auto parse = [](const char* text) {
+        (void)tenancy::parse_tenancy_config(KvConfig::parse(text));
+    };
+    EXPECT_EXIT(parse("tenancy.tenants = 4294967298\n"),
+                ::testing::ExitedWithCode(1),
+                "key 'tenancy.tenants' must be at most 4294967295");
+    EXPECT_EXIT(parse("tenancy.tenants = 4\ntenancy.quantum = -5\n"),
+                ::testing::ExitedWithCode(1),
+                "key 'tenancy.quantum' must not be negative, got -5");
+    EXPECT_EXIT(parse("tenancy.tenants = 4\ntenancy.admission_rate = -1\n"),
+                ::testing::ExitedWithCode(1),
+                "key 'tenancy.admission_rate' must not be negative");
+    // NaN fails every comparison, so `x < 0 || x > 1` used to pass it.
+    EXPECT_EXIT(parse("tenancy.tenants = 4\ntenancy.quota_share = nan\n"),
+                ::testing::ExitedWithCode(1),
+                "key 'tenancy.quota_share' expects a finite number");
+}
+
 TEST(TenancyConfigParse, KnobsWithoutTenantsAreFatal)
 {
     TenancyConfig tc;

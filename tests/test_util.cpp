@@ -312,6 +312,69 @@ TEST(ParseInt, AcceptsWholeIntegersOnly)
                 ::testing::ExitedWithCode(1), "n is out of range");
 }
 
+TEST(KvConfig, CountsRejectNegativeAndOversizedValues)
+{
+    KvConfig cfg;
+    cfg.set("n", "7");
+    cfg.set("neg", "-1");
+    cfg.set("big", "4294967296");
+    EXPECT_EQ(cfg.get_count("n", 0), 7u);
+    EXPECT_EQ(cfg.get_count("missing", 11), 11u);
+    EXPECT_EQ(cfg.get_count("big", 0), 4294967296u);
+    EXPECT_EXIT((void)cfg.get_count("neg", 0), ::testing::ExitedWithCode(1),
+                "KvConfig: key 'neg' must not be negative, got -1");
+    EXPECT_EXIT((void)cfg.get_count("big", 0, UINT_MAX),
+                ::testing::ExitedWithCode(1),
+                "KvConfig: key 'big' must be at most 4294967295");
+}
+
+TEST(ParseDouble, AcceptsFiniteNumbersOnly)
+{
+    EXPECT_DOUBLE_EQ(parse_double("0.25", "x"), 0.25);
+    EXPECT_DOUBLE_EQ(parse_double("-3", "x"), -3.0);
+    EXPECT_DOUBLE_EQ(parse_double("1e3", "x"), 1000.0);
+    EXPECT_EXIT((void)parse_double("nan", "x"), ::testing::ExitedWithCode(1),
+                "x expects a finite number, got 'nan'");
+    EXPECT_EXIT((void)parse_double("-inf", "x"), ::testing::ExitedWithCode(1),
+                "x expects a finite number, got '-inf'");
+    EXPECT_EXIT((void)parse_double("1e999", "x"),
+                ::testing::ExitedWithCode(1), "x is out of range");
+    EXPECT_EXIT((void)parse_double("", "x"), ::testing::ExitedWithCode(1),
+                "x expects a number, got ''");
+    EXPECT_EXIT((void)parse_double(" 1", "x"), ::testing::ExitedWithCode(1),
+                "x expects a number");
+    EXPECT_EXIT((void)parse_double("0.5x", "x"), ::testing::ExitedWithCode(1),
+                "x expects a number, got '0.5x'");
+}
+
+TEST(ParseDouble, BothGettersRejectNonFiniteValues)
+{
+    KvConfig cfg;
+    cfg.set("ok", "0.5");
+    cfg.set("nan", "nan");
+    cfg.set("inf", "inf");
+    cfg.set("huge", "1e999");
+    EXPECT_DOUBLE_EQ(cfg.get_double("ok", 0), 0.5);
+    EXPECT_EXIT((void)cfg.get_double("nan", 0), ::testing::ExitedWithCode(1),
+                "KvConfig: key 'nan' expects a finite number");
+    EXPECT_EXIT((void)cfg.get_double("inf", 0), ::testing::ExitedWithCode(1),
+                "KvConfig: key 'inf' expects a finite number");
+    EXPECT_EXIT((void)cfg.get_double("huge", 0),
+                ::testing::ExitedWithCode(1),
+                "KvConfig: key 'huge' is out of range");
+
+    const char* argv[] = {"prog", "--ok=0.5", "--nan=nan", "--inf=inf",
+                          "--huge=1e999"};
+    const auto args = CliArgs::parse(5, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(args.get_double("ok", 0), 0.5);
+    EXPECT_EXIT((void)args.get_double("nan", 0), ::testing::ExitedWithCode(1),
+                "flag --nan expects a finite number");
+    EXPECT_EXIT((void)args.get_double("inf", 0), ::testing::ExitedWithCode(1),
+                "flag --inf expects a finite number");
+    EXPECT_EXIT((void)args.get_double("huge", 0),
+                ::testing::ExitedWithCode(1), "flag --huge is out of range");
+}
+
 TEST(CliArgs, ParsesAllForms)
 {
     const char* argv[] = {"prog", "--alpha=0.5", "--name=x", "--verbose",
