@@ -12,7 +12,9 @@
  *    generator construction, over the (n, theta) of every generator
  *    the workloads build (ungated layer numbers);
  *  - sweep dispatch: per-job cost of SweepRunner's worker dispatch
- *    (must be negligible against a multi-millisecond simulation job);
+ *    (must be negligible against a multi-millisecond simulation job),
+ *    and the accesses per wall second of a Figure 7-shaped sweep whose
+ *    jobs share one generated stream per app;
  *  - telemetry: the same simulation with telemetry fully off vs fully
  *    on (metrics + all trace categories + profiling). The off arm
  *    measures the zero-cost contract (every instrumentation site is a
@@ -392,6 +394,40 @@ BENCHMARK_CAPTURE(BM_SimThroughputAutoTiering, cc_1_16, "cc", 16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+void
+BM_SweepSharedStreams(benchmark::State& state)
+{
+    // A Figure 7-shaped sweep, two apps x 8 systems x 6 ratios at one
+    // shared seed on 4 workers: SweepRunner::run generates each app's
+    // stream once and replays it to the app's 48 jobs (DESIGN.md
+    // section 7). Gates the sharing, whose loss would put one
+    // generation back into every job.
+    sim::RunSpec prototype;
+    prototype.accesses = 200000;
+    prototype.seed = 42;
+    const auto spec = sweep::SweepSpec::grid(
+        {"ycsb", "cc"},
+        {"memtis", "autotiering", "tpp", "autonuma", "multiclock", "nimble",
+         "tiering08", "artmem"},
+        sim::paper_ratios(), prototype);
+    sweep::SweepRunner runner({.jobs = 4, .progress = false});
+    for (auto _ : state) {
+        const auto runs = runner.run(spec);
+        benchmark::DoNotOptimize(runs.data());
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(spec.jobs.size() * prototype.accesses));
+}
+// A fixed warm-up and minimum time, which --quick's
+// --benchmark_min_time does not override: on an idle shared host the
+// first second of a 4-thread sweep runs at about a third of its speed.
+BENCHMARK(BM_SweepSharedStreams)
+    ->Unit(benchmark::kMillisecond)
+    ->MinWarmUpTime(1.5)
+    ->MinTime(0.5)
+    ->UseRealTime();
+
 /** Prints the Section 6.4 summary around the google-benchmark run. */
 class OverheadReporter : public benchmark::ConsoleReporter
 {
@@ -423,12 +459,14 @@ int
 main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the
-    // end-to-end throughput benchmarks at one iteration each, mirroring
-    // the fig-harness --quick convention. Expanded into native
-    // google-benchmark flags so the library still does all the timing.
+    // end-to-end throughput benchmarks (single runs and the shared-stream
+    // sweep) at one iteration each, mirroring the fig-harness --quick
+    // convention. Expanded into native google-benchmark flags so the
+    // library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
-    static char filter[] = "--benchmark_filter=BM_SimThroughput";
+    static char filter[] =
+        "--benchmark_filter=BM_SimThroughput|BM_SweepSharedStreams";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";
     bool quick = false;

@@ -2,9 +2,9 @@
 # Perf-regression smoke for the batched hot path (DESIGN.md §9).
 #
 # Runs the end-to-end throughput benchmarks (bench_overheads --quick,
-# i.e. every BM_SimThroughput* entry at one short google-benchmark
-# repetition) and compares accesses/sec per entry against the committed
-# baseline in BENCH_hotpath.json. Every BM_SimThroughput* benchmark is
+# i.e. every BM_SimThroughput* entry and BM_SweepSharedStreams at one
+# short google-benchmark repetition) and compares accesses/sec per entry
+# against the committed baseline in BENCH_hotpath.json. Each of them is
 # registered with UseRealTime(), so items_per_second is simulated
 # accesses per wall-clock second, never per main-thread CPU second. The
 # tolerance is deliberately generous (a 30% drop fails): CI machines are
@@ -34,6 +34,7 @@ out="${build}/bench_hotpath_current.json"
 
 python3 - "${baseline}" "${out}" << 'EOF'
 import json
+import re
 import sys
 
 TOLERANCE = 0.30
@@ -42,10 +43,13 @@ with open(sys.argv[1]) as f:
     baseline = {b["name"]: b["items_per_second"]
                 for b in json.load(f)["benchmarks"]}
 # UseRealTime() makes google-benchmark append "/real_time" to each
-# name; the baseline keys stay the bare benchmark names.
+# name, and MinTime()/MinWarmUpTime() "/min_time:<s>" and
+# "/min_warmup_time:<s>" before it; the baseline keys stay the bare
+# benchmark names.
 with open(sys.argv[2]) as f:
-    current = {b["name"].removesuffix("/real_time"): b["items_per_second"]
-               for b in json.load(f)["benchmarks"]}
+    current = {re.sub(r"(/min_(warmup_)?time:[0-9.]+)*/real_time$", "",
+                      b["name"]):
+               b["items_per_second"] for b in json.load(f)["benchmarks"]}
 
 failed = False
 for name, base in sorted(baseline.items()):

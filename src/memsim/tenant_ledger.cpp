@@ -17,6 +17,7 @@ TenantLedger::TenantLedger(std::uint32_t tenants, std::size_t page_count)
     owner_.assign(page_count, 0);
     used_.assign(static_cast<std::size_t>(tenants_) * kTierCount, 0);
     quota_.assign(tenants_, kNoQuota);
+    pending_gain_.assign(tenants_, 0);
     totals_.assign(tenants_, Totals{});
     window_base_.assign(tenants_, Totals{});
 }
@@ -50,7 +51,7 @@ TenantLedger::check_migration(PageId page, Tier dst, bool charges_dst)
     if (dst != Tier::kFast)
         return TenantDecision::kAdmit;
     const std::uint32_t tenant = owner_[page];
-    if (charges_dst && used_[tenant * kTierCount] >= quota_[tenant]) {
+    if (charges_dst && fast_claim(tenant) >= quota_[tenant]) {
         ++totals_[tenant].quota_denied;
         return TenantDecision::kQuotaDenied;
     }
@@ -69,7 +70,7 @@ TenantLedger::check_exchange(PageId promoted, PageId demoted)
 {
     const std::uint32_t gaining = owner_[promoted];
     if (gaining != owner_[demoted] &&
-        used_[gaining * kTierCount] >= quota_[gaining]) {
+        fast_claim(gaining) >= quota_[gaining]) {
         ++totals_[gaining].quota_denied;
         return TenantDecision::kQuotaDenied;
     }

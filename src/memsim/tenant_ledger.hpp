@@ -229,7 +229,24 @@ class TenantLedger
     bool fast_quota_exhausted(PageId page) const
     {
         const std::uint32_t t = owner_[page];
-        return used_[t * kTierCount] >= quota_[t];
+        return fast_claim(t) >= quota_[t];
+    }
+
+    /**
+     * Track a cross-tenant transactional exchange that will move
+     * @p promoted into the fast tier at commit: +1 when it opens, -1
+     * when it commits or aborts. An exchange charges both tiers only at
+     * commit, so without this every exchange open for one gaining
+     * tenant would pass the quota check against the same used count.
+     * A same-tenant swap is fast-usage neutral and is not tracked.
+     */
+    void note_exchange_pending(PageId promoted, PageId demoted, int delta)
+    {
+        const std::uint32_t gaining = owner_[promoted];
+        if (gaining == owner_[demoted])
+            return;
+        auto& slot = pending_gain_[gaining];
+        slot = static_cast<std::size_t>(static_cast<long long>(slot) + delta);
     }
 
     /** Count a first-touch that had to violate the quota. */
@@ -278,6 +295,13 @@ class TenantLedger
     void interval_feedback();
 
   private:
+    /** Fast pages @p t holds plus those its open exchanges will give
+     *  it: what every quota check compares against the quota. */
+    std::size_t fast_claim(std::uint32_t t) const
+    {
+        return used_[t * kTierCount] + pending_gain_[t];
+    }
+
     /** Test-only corruption back door (tests/test_verify.cpp). */
     friend struct TenantLedgerTestPeer;
 
@@ -285,6 +309,8 @@ class TenantLedger
     std::vector<std::uint16_t> owner_;       ///< page → tenant.
     std::vector<std::size_t> used_;          ///< tenant-major [tenant][tier].
     std::vector<std::size_t> quota_;         ///< fast-tier quota per tenant.
+    /** Per tenant: fast pages its open tx exchanges will add. */
+    std::vector<std::size_t> pending_gain_;
     std::vector<Totals> totals_;
     std::vector<Totals> window_base_;        ///< Snapshot at last roll.
     std::unique_ptr<AdmissionController> admission_;

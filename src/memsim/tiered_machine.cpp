@@ -623,6 +623,8 @@ TieredMachine::tx_exchange(PageId a, PageId b, Tier ta, Tier tb)
     tx_->inflight.push_back(TxState::Entry{a, b, ta, tb, now_ + busy, busy,
                                            tx_->next_seq++,
                                            TxState::Kind::kExchange});
+    if (tenants_ != nullptr) [[unlikely]]
+        note_exchange_pending(tx_->inflight.back(), +1);
     ++totals_.tx_opened;
     ++window_.tx_opened;
     if (trace_migration_ != nullptr) [[unlikely]] {
@@ -683,6 +685,8 @@ TieredMachine::tx_abort_page(PageId page, SimTimeNs now)
                 (flags_[p] & ~(kInFlightBit | kTxExchangeBit)) |
                 kTxAbortedBit);
         }
+        if (tenants_ != nullptr) [[unlikely]]
+            note_exchange_pending(entry, -1);
     }
     // Half the copy's device time is wasted; only its contention share
     // reaches application time, returned to the caller because the
@@ -761,6 +765,7 @@ TieredMachine::tx_commit_entry(const TxState::Entry& entry)
         flags_[entry.page] ^= kTierBit;
         flags_[entry.peer] ^= kTierBit;
         if (tenants_ != nullptr) [[unlikely]] {
+            note_exchange_pending(entry, -1);
             tenants_->charge(entry.page, entry.src, -1);
             tenants_->charge(entry.page, entry.dst, +1);
             tenants_->charge(entry.peer, entry.dst, -1);
@@ -882,6 +887,15 @@ TieredMachine::tenant_check_migration(PageId page, Tier dst,
                                      : MigrateStatus::kAdmissionDenied;
     record_failure(status, page);
     return status;
+}
+
+void
+TieredMachine::note_exchange_pending(const TxState::Entry& entry, int delta)
+{
+    const bool a_promoted = entry.src == Tier::kSlow;
+    tenants_->note_exchange_pending(a_promoted ? entry.page : entry.peer,
+                                    a_promoted ? entry.peer : entry.page,
+                                    delta);
 }
 
 MigrateStatus

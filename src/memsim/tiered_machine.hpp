@@ -741,6 +741,9 @@ class TieredMachine
     /** Tenancy gate for exchange()/tx_exchange(): @p ta is @p a's
      *  current tier, identifying which page is being promoted. */
     MigrateStatus tenant_check_exchange(PageId a, PageId b, Tier ta);
+    /** Open (+1) or resolve (-1) @p entry's pending fast-tier gain in
+     *  the tenant ledger (TenantLedger::note_exchange_pending). */
+    void note_exchange_pending(const TxState::Entry& entry, int delta);
 
     MachineConfig config_;
     std::vector<std::uint8_t> flags_;

@@ -68,8 +68,8 @@ parse_tx_cli(const CliArgs& args)
     tx.seed = static_cast<std::uint64_t>(
         args.get_int("tx-seed", static_cast<long long>(tx.seed)));
     tx.write_ratio = args.get_double("tx-write-ratio", tx.write_ratio);
-    tx.max_inflight = static_cast<std::size_t>(args.get_int(
-        "tx-max-inflight", static_cast<long long>(tx.max_inflight)));
+    tx.max_inflight = static_cast<std::size_t>(
+        args.get_count("tx-max-inflight", tx.max_inflight, SIZE_MAX));
     tx.non_exclusive = !args.get_bool("tx-exclusive", false);
     tx.validate();
     return tx;
@@ -82,32 +82,46 @@ run_experiment(const RunSpec& spec)
     return run_experiment(spec, *policy);
 }
 
+std::unique_ptr<workloads::AccessGenerator>
+make_experiment_workload(const RunSpec& spec)
+{
+    return workloads::make_workload(spec.workload, kExperimentPageSize,
+                                    spec.accesses, spec.seed);
+}
+
 RunResult
 run_experiment(const RunSpec& spec, policies::Policy& policy)
 {
-    const Bytes page_size = 2ull << 20;
     spec.tenancy.validate();
     // Multi-tenant runs interleave N per-tenant generators; the plain
-    // path below is untouched at tenants <= 1 (scripts/ci.sh diffs
+    // path is untouched at tenants <= 1 (scripts/ci.sh diffs
     // --tenants=1 against the seed goldens).
-    std::unique_ptr<tenancy::TenantSet> set;
-    std::unique_ptr<workloads::AccessGenerator> gen;
-    if (spec.tenancy.enabled()) {
-        set = tenancy::make_tenant_set(spec.tenancy, spec.workload,
-                                       page_size, spec.accesses, spec.seed);
-    } else {
-        gen = workloads::make_workload(spec.workload, page_size,
-                                       spec.accesses, spec.seed);
+    if (!spec.tenancy.enabled()) {
+        auto gen = make_experiment_workload(spec);
+        return run_experiment_on(spec, *gen, policy);
     }
-    workloads::AccessGenerator& workload = set != nullptr ? *set : *gen;
-    auto machine_config =
-        make_machine_config(workload.footprint(), spec.ratio, page_size);
+    auto set = tenancy::make_tenant_set(spec.tenancy, spec.workload,
+                                        kExperimentPageSize, spec.accesses,
+                                        spec.seed);
+    const auto machine_config = make_machine_config(
+        set->footprint(), spec.ratio, kExperimentPageSize);
     memsim::TieredMachine machine(machine_config);
-    if (set != nullptr) {
-        machine.install_tenants(tenancy::make_tenant_ledger(
-            spec.tenancy, *set, machine.page_count(),
-            machine_config.fast_capacity_pages()));
-    }
+    machine.install_tenants(tenancy::make_tenant_ledger(
+        spec.tenancy, *set, machine.page_count(),
+        machine_config.fast_capacity_pages()));
+    return run_simulation(*set, policy, machine, spec.engine);
+}
+
+RunResult
+run_experiment_on(const RunSpec& spec, workloads::AccessGenerator& workload,
+                  policies::Policy& policy)
+{
+    spec.tenancy.validate();
+    if (spec.tenancy.enabled())
+        fatal("run_experiment_on: a multi-tenant run builds its own "
+              "TenantSet; use run_experiment");
+    memsim::TieredMachine machine(make_machine_config(
+        workload.footprint(), spec.ratio, kExperimentPageSize));
     return run_simulation(workload, policy, machine, spec.engine);
 }
 

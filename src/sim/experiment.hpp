@@ -94,6 +94,9 @@ inline constexpr std::string_view kTxFlags[] = {
  */
 memsim::TxConfig parse_tx_cli(const CliArgs& args);
 
+/** Page size of every experiment's machine (2 MiB huge pages). */
+inline constexpr Bytes kExperimentPageSize = 2ull << 20;
+
 /** Run one fully specified experiment (constructs everything). */
 RunResult run_experiment(const RunSpec& spec);
 
@@ -102,6 +105,26 @@ RunResult run_experiment(const RunSpec& spec);
  * ArtMem) instead of a registry name.
  */
 RunResult run_experiment(const RunSpec& spec, policies::Policy& policy);
+
+/**
+ * The generator a single-tenant run_experiment(spec) drives: a pure
+ * function of (spec.workload, spec.seed, spec.accesses) at
+ * kExperimentPageSize.
+ */
+std::unique_ptr<workloads::AccessGenerator>
+make_experiment_workload(const RunSpec& spec);
+
+/**
+ * The rest of a single-tenant run_experiment: size the machine from
+ * @p workload's footprint and run @p spec's engine on it. Given an
+ * equivalent @p workload (for instance a StreamReplay of the stream
+ * make_experiment_workload(spec) emits), the result is bit-identical
+ * to run_experiment(spec, policy). fatal() when spec.tenancy is
+ * enabled: a multi-tenant run builds its ledger from its TenantSet.
+ */
+RunResult run_experiment_on(const RunSpec& spec,
+                            workloads::AccessGenerator& workload,
+                            policies::Policy& policy);
 
 }  // namespace artmem::sim
 

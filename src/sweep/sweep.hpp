@@ -10,12 +10,15 @@
  * from a shared counter.
  *
  * Determinism contract: a job is a pure function of its SweepJob.
- * Each job constructs its own generator, policy, and TieredMachine on
- * the worker thread (no shared mutable state), its seed is fixed when
- * the spec is built (optionally via derive_seed(base, index), never
- * from scheduling), and results land in a vector ordered by job index.
- * Emitted numbers are therefore bit-identical between --jobs 1 and
- * --jobs N; scripts/ci.sh diffs a two-way run byte-for-byte.
+ * Each job constructs its own policy and TieredMachine on the worker
+ * thread (no shared mutable state), its seed is fixed when the spec is
+ * built (optionally via derive_seed(base, index), never from
+ * scheduling), and results land in a vector ordered by job index.
+ * Jobs whose generator would be identical share one access stream,
+ * generated once and replayed read-only (SweepRunner::run), which the
+ * generator batch contract makes indistinguishable from generating it
+ * per job. Emitted numbers are therefore bit-identical between --jobs 1
+ * and --jobs N; scripts/ci.sh diffs a two-way run byte-for-byte.
  */
 #ifndef ARTMEM_SWEEP_SWEEP_HPP
 #define ARTMEM_SWEEP_SWEEP_HPP
@@ -146,6 +149,13 @@ class SweepRunner
      * Run every job of @p spec; result i corresponds to spec.jobs[i]
      * regardless of completion order. The first exception a job throws
      * is rethrown here after the remaining jobs finish.
+     *
+     * Default-runner jobs that share a (workload, seed, accesses) key
+     * share one access stream: it is generated once into a buffer the
+     * run reuses for every key, and each of the key's jobs replays it
+     * through a StreamReplay. Keys run in the order of their first job,
+     * one at a time; then the rest run live through run_job(): custom
+     * `run` jobs, multi-tenant jobs and jobs alone in their key.
      */
     std::vector<sim::RunResult> run(const SweepSpec& spec);
 
@@ -166,14 +176,18 @@ class SweepRunner
     }
 
   private:
-    /** Behind run() and map(): index dispatch, progress, exceptions. */
+    /** Behind map(): index dispatch, progress, exceptions. */
     void run_indexed(std::size_t n,
                      const std::function<void(std::size_t)>& fn);
+
+    /** Worker threads: options_.jobs, or one per hardware thread. */
+    unsigned workers() const;
 
     SweepOptions options_;
 };
 
-/** Run one SweepJob in isolation (the default runner logic). */
+/** Run one SweepJob in isolation, generating its stream live (the
+ *  default runner logic). */
 sim::RunResult run_job(const SweepJob& job);
 
 }  // namespace artmem::sweep

@@ -48,6 +48,10 @@ class PhaseProfiler
     {
         return totals_ns_[static_cast<std::size_t>(phase)];
     }
+    std::uint64_t phase_calls(Phase phase) const
+    {
+        return counts_[static_cast<std::size_t>(phase)];
+    }
 
     /** Human-readable profile table (phase, calls, ms, share). */
     void write_table(std::ostream& os) const;

@@ -36,6 +36,15 @@ Btree::Btree(const Params& params, Bytes page_size, std::uint64_t seed)
     }
     if (level_base_.size() < 2)
         fatal("Btree: footprint too small for one inner level + leaves");
+    // Every lookup emits one access per level, so the stream ends at
+    // the first whole descent that reaches the budget.
+    const std::uint64_t depth = level_base_.size();
+    const std::uint64_t lookups = params_.total_accesses / depth +
+                                  (params_.total_accesses % depth != 0);
+    if (lookups > UINT64_MAX / depth)
+        fatal("Btree: ", params_.total_accesses,
+              " accesses overflow when rounded up to whole lookups");
+    total_ = lookups * depth;
     leaf_count_ = level_nodes_.back();
     // Key skew is applied over coarse leaf blocks so the Zipfian zeta
     // precomputation stays cheap even with millions of leaves.
@@ -55,7 +64,7 @@ Btree::fill(std::span<PageId> out)
             out[produced++] = pending_[pending_pos_++];
             continue;
         }
-        if (emitted_ >= params_.total_accesses)
+        if (emitted_ >= total_)
             break;
         // One lookup: root-to-leaf descent toward a (skewed-)random leaf.
         const std::uint64_t block = zipf_->next(rng_);

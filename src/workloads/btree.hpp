@@ -43,10 +43,9 @@ class Btree final : public AccessGenerator
     std::string_view name() const override { return "btree"; }
     Bytes footprint() const override { return params_.footprint; }
     std::size_t fill(std::span<PageId> out) override;
-    std::uint64_t total_accesses() const override
-    {
-        return params_.total_accesses;
-    }
+    /** The budget rounded up to whole root-to-leaf descents: fill()
+     *  never splits the last lookup. */
+    std::uint64_t total_accesses() const override { return total_; }
 
     /** Tree depth chosen for the footprint (tests). */
     unsigned depth() const { return static_cast<unsigned>(level_base_.size()); }
@@ -60,6 +59,7 @@ class Btree final : public AccessGenerator
     std::vector<Bytes> level_base_;
     /** Node count of each level. */
     std::vector<std::uint64_t> level_nodes_;
+    std::uint64_t total_ = 0;
     std::uint64_t emitted_ = 0;
     std::uint64_t leaf_count_ = 0;
     std::uint64_t leaf_blocks_ = 0;

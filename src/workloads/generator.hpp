@@ -33,11 +33,23 @@ class AccessGenerator
 
     /**
      * Fill @p out with the next page ids to access.
+     *
+     * Contract: every call writes exactly min(out.size(), remaining)
+     * ids, where remaining is total_accesses() minus what earlier calls
+     * wrote, so only the last non-empty batch can be short. The split
+     * into batches therefore never depends on the generator, and a
+     * stream materialised once replays through StreamReplay
+     * (workloads/trace.hpp) batch-for-batch like live generation
+     * (DESIGN.md §7).
+     *
      * @return number written; 0 means the workload has finished.
      */
     virtual std::size_t fill(std::span<PageId> out) = 0;
 
-    /** Total accesses this generator will produce over its lifetime. */
+    /**
+     * Total accesses this generator will produce over its lifetime:
+     * exactly the sum of everything fill() writes.
+     */
     virtual std::uint64_t total_accesses() const = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "workloads/masim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -20,10 +21,14 @@ Masim::Masim(MasimSpec spec, Bytes page_size, std::uint64_t seed)
         for (const auto& r : phase.regions) {
             if (r.size == 0 || r.weight <= 0.0)
                 fatal("Masim '", spec_.name, "': degenerate region");
-            if (r.offset + r.size > spec_.footprint)
+            if (r.size > spec_.footprint ||
+                r.offset > spec_.footprint - r.size)
                 fatal("Masim '", spec_.name,
                       "': region exceeds footprint");
         }
+        if (phase.accesses > UINT64_MAX - total_)
+            fatal("Masim '", spec_.name,
+                  "': phase accesses overflow a 64-bit total");
         total_ += phase.accesses;
     }
     prepare_phase(0);
@@ -94,9 +99,9 @@ Masim::parse_spec(const KvConfig& config)
     MasimSpec spec;
     spec.name = config.get_string("name", "masim");
     spec.footprint =
-        static_cast<Bytes>(config.get_int("footprint_mib", 0)) << 20;
-    const long long phase_count = config.get_int("phases", 0);
-    if (phase_count <= 0)
+        config.get_count("footprint_mib", 0, UINT64_MAX >> 20) << 20;
+    const std::uint64_t phase_count = config.get_count("phases", 0);
+    if (phase_count == 0)
         fatal("masim spec: 'phases' must be positive");
     // Reject keys the schema does not define: a typo like
     // "phase0.acesses = 1000" would otherwise silently fall back to the
@@ -125,13 +130,12 @@ Masim::parse_spec(const KvConfig& config)
                   "' (expected name, footprint_mib, phases, ",
                   "phase<N>.accesses, phase<N>.regions, phase<N>.region<M>)");
     }
-    for (long long i = 0; i < phase_count; ++i) {
+    for (std::uint64_t i = 0; i < phase_count; ++i) {
         const std::string prefix = "phase" + std::to_string(i) + ".";
         MasimPhase phase;
-        phase.accesses = static_cast<std::uint64_t>(
-            config.get_int(prefix + "accesses", 0));
-        const long long regions = config.get_int(prefix + "regions", 0);
-        for (long long r = 0; r < regions; ++r) {
+        phase.accesses = config.get_count(prefix + "accesses", 0);
+        const std::uint64_t regions = config.get_count(prefix + "regions", 0);
+        for (std::uint64_t r = 0; r < regions; ++r) {
             const auto key = prefix + "region" + std::to_string(r);
             const auto text = config.get(key);
             if (!text)
@@ -151,6 +155,16 @@ Masim::parse_spec(const KvConfig& config)
             if (in >> trailing)
                 fatal("masim spec: ", key, ": trailing garbage '", trailing,
                       "'");
+            // The casts to Bytes below are defined only for values in
+            // [0, 2^64) bytes, i.e. [0, 2^44) MiB.
+            for (const double mib : {offset_mib, size_mib}) {
+                if (!(mib >= 0.0 && mib < 0x1p44))
+                    fatal("masim spec: ", key, ": offset and size must be ",
+                          "in [0, 2^44) MiB, got '", *text, "'");
+            }
+            if (!std::isfinite(weight) || weight < 0.0)
+                fatal("masim spec: ", key, ": weight must be finite and ",
+                      "non-negative, got '", *text, "'");
             MasimRegion region;
             region.offset = static_cast<Bytes>(offset_mib * (1 << 20));
             region.size = static_cast<Bytes>(size_mib * (1 << 20));

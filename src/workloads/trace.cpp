@@ -1,5 +1,6 @@
 #include "workloads/trace.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -66,7 +67,35 @@ TraceWriter::fill(std::span<PageId> out)
     return n;
 }
 
-TraceReplay::TraceReplay(const std::string& path)
+StreamReplay::StreamReplay(std::string name, Bytes footprint,
+                           std::span<const PageId> stream)
+    : name_(std::move(name)), footprint_(footprint), stream_(stream)
+{
+}
+
+std::size_t
+StreamReplay::fill(std::span<PageId> out)
+{
+    const std::size_t n = std::min(out.size(), stream_.size() - cursor_);
+    std::copy_n(stream_.begin() + static_cast<std::ptrdiff_t>(cursor_), n,
+                out.begin());
+    cursor_ += n;
+    return n;
+}
+
+TraceReplay::TraceReplay(const std::string& path) : TraceReplay(load(path))
+{
+}
+
+TraceReplay::TraceReplay(Loaded loaded)
+    : StreamReplay("trace", loaded.footprint, loaded.accesses),
+      accesses_(std::move(loaded.accesses)),
+      page_size_(loaded.page_size)
+{
+}
+
+TraceReplay::Loaded
+TraceReplay::load(const std::string& path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -90,30 +119,24 @@ TraceReplay::TraceReplay(const std::string& path)
         fatal("TraceReplay: header claims ", header.count,
               " accesses but only ", payload / sizeof(PageId),
               " fit in the file: ", path);
-    footprint_ = header.footprint;
-    page_size_ = Bytes{1} << header.page_size_log2;
-    accesses_.resize(header.count);
-    in.read(reinterpret_cast<char*>(accesses_.data()),
+    Loaded trace;
+    trace.footprint = header.footprint;
+    trace.page_size = Bytes{1} << header.page_size_log2;
+    trace.accesses.resize(header.count);
+    in.read(reinterpret_cast<char*>(trace.accesses.data()),
             static_cast<std::streamsize>(header.count * sizeof(PageId)));
     if (!in)
         fatal("TraceReplay: truncated trace: ", path);
-    const std::uint64_t pages = footprint_ / page_size_ +
-                                (footprint_ % page_size_ != 0 ? 1 : 0);
-    for (std::size_t i = 0; i < accesses_.size(); ++i) {
-        if (accesses_[i] >= pages)
-            fatal("TraceReplay: page id ", accesses_[i], " at byte offset ",
-                  sizeof(Header) + i * sizeof(PageId),
+    const std::uint64_t pages =
+        trace.footprint / trace.page_size +
+        (trace.footprint % trace.page_size != 0 ? 1 : 0);
+    for (std::size_t i = 0; i < trace.accesses.size(); ++i) {
+        if (trace.accesses[i] >= pages)
+            fatal("TraceReplay: page id ", trace.accesses[i],
+                  " at byte offset ", sizeof(Header) + i * sizeof(PageId),
                   " is outside the ", pages, "-page footprint: ", path);
     }
-}
-
-std::size_t
-TraceReplay::fill(std::span<PageId> out)
-{
-    std::size_t n = 0;
-    while (n < out.size() && cursor_ < accesses_.size())
-        out[n++] = accesses_[cursor_++];
-    return n;
+    return trace;
 }
 
 }  // namespace artmem::workloads

@@ -3,8 +3,8 @@
  * Access-trace capture and replay.
  *
  * TraceWriter wraps any AccessGenerator and records the page-access
- * stream to a compact binary file; TraceReplay plays such a file back
- * as an AccessGenerator. This allows (a) freezing a stochastic workload
+ * stream to a compact binary file; TraceReplay loads such a file and
+ * plays it back through StreamReplay, the in-memory replay generator. This allows (a) freezing a stochastic workload
  * so different policies see the *identical* access sequence, and
  * (b) importing externally captured page traces into the harness.
  *
@@ -57,29 +57,56 @@ class TraceWriter final : public AccessGenerator
     std::uint64_t written_ = 0;
 };
 
-/** Replays a trace file produced by TraceWriter. */
-class TraceReplay final : public AccessGenerator
+/**
+ * Replays an in-memory access stream it does not own: the one replay
+ * path behind both trace:FILE (TraceReplay) and the sweep's shared
+ * streams (sweep/sweep.cpp). fill() copies min(out.size(), remaining)
+ * ids, which is the AccessGenerator batch contract, so a replayed run
+ * is bit-identical to one driven by the generator that produced the
+ * stream.
+ */
+class StreamReplay : public AccessGenerator
+{
+  public:
+    /** @p stream must outlive this generator. */
+    StreamReplay(std::string name, Bytes footprint,
+                 std::span<const PageId> stream);
+
+    std::string_view name() const override { return name_; }
+    Bytes footprint() const override { return footprint_; }
+    std::size_t fill(std::span<PageId> out) override;
+    std::uint64_t total_accesses() const override { return stream_.size(); }
+
+  private:
+    std::string name_;
+    Bytes footprint_;
+    std::span<const PageId> stream_;
+    std::size_t cursor_ = 0;
+};
+
+/** A trace file produced by TraceWriter, loaded and replayed. */
+class TraceReplay final : public StreamReplay
 {
   public:
     /** Load the whole trace; fatal on malformed files. */
     explicit TraceReplay(const std::string& path);
 
-    std::string_view name() const override { return "trace"; }
-    Bytes footprint() const override { return footprint_; }
-    std::size_t fill(std::span<PageId> out) override;
-    std::uint64_t total_accesses() const override
-    {
-        return accesses_.size();
-    }
-
     /** Page size the trace was captured at. */
     Bytes page_size() const { return page_size_; }
 
   private:
+    struct Loaded {
+        std::vector<PageId> accesses;
+        Bytes footprint = 0;
+        Bytes page_size = 0;
+    };
+
+    static Loaded load(const std::string& path);
+    explicit TraceReplay(Loaded loaded);
+
+    /** Backs the base's span; a vector move keeps its buffer. */
     std::vector<PageId> accesses_;
-    Bytes footprint_ = 0;
-    Bytes page_size_ = 0;
-    std::size_t cursor_ = 0;
+    Bytes page_size_;
 };
 
 }  // namespace artmem::workloads

@@ -2,12 +2,14 @@
  * @file
  * Tests for the deterministic parallel sweep subsystem: seed
  * derivation, worker dispatch, SweepRunner determinism across worker
- * counts, exception propagation, ResultSink emission, and the
+ * counts, shared access streams against live generation, exception
+ * propagation, ResultSink emission, and the
  * BenchOptions --quick/--accesses contract.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,7 +17,9 @@
 #include "bench_common.hpp"
 #include "sweep/result_sink.hpp"
 #include "sweep/sweep.hpp"
+#include "sweep/telemetry_merge.hpp"
 #include "util/rng.hpp"
+#include "workloads/trace.hpp"
 
 namespace artmem {
 namespace {
@@ -204,6 +208,181 @@ TEST(SweepRunner, JobExceptionPropagates)
     spec.add(ok, {"ok2"});
     sweep::SweepRunner runner({.jobs = 2, .progress = false});
     EXPECT_THROW(runner.run(spec), std::runtime_error);
+}
+
+// ------------------------------------------------------ shared streams
+
+/** Every simulated output of a run, doubles as exact hex floats. */
+std::string
+exact_summary(const sim::RunResult& r)
+{
+    std::ostringstream os;
+    const auto hex = [&os](double value) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%a ", value);
+        os << buf;
+    };
+    const auto& t = r.totals;
+    os << r.runtime_ns << ' ' << r.accesses << ' ' << t.accesses[0] << ' '
+       << t.accesses[1] << ' ' << t.hint_faults << ' ' << t.promoted_pages
+       << ' ' << t.demoted_pages << ' ' << t.exchanges << ' '
+       << t.migration_busy_ns << ' ' << t.overhead_ns << ' ' << t.tx_opened
+       << ' ' << t.failed_quota << ' ' << r.pebs_recorded << ' '
+       << r.pebs_dropped << ' ' << r.invariant_audits << ' ';
+    hex(r.fast_ratio);
+    for (const auto& interval : r.timeline) {
+        os << interval.end_time << ' ' << interval.accesses << ' ';
+        hex(interval.fast_ratio);
+    }
+    for (const auto& tenant : r.tenants) {
+        os << tenant.accesses[0] << ' ' << tenant.accesses[1] << ' '
+           << tenant.samples << ' ' << tenant.used_fast << ' ';
+    }
+    return os.str();
+}
+
+/** Record @p workload's stream to a trace file; returns "trace:PATH". */
+std::string
+record_trace(const std::string& workload, std::uint64_t accesses)
+{
+    const std::string path =
+        ::testing::TempDir() + "/artmem_sweep_" + workload + ".trace";
+    workloads::TraceWriter writer(
+        workloads::make_workload(workload, sim::kExperimentPageSize,
+                                 accesses, 3),
+        path, sim::kExperimentPageSize);
+    std::vector<PageId> buf(4096);
+    while (writer.fill(buf) > 0) {
+    }
+    return "trace:" + path;
+}
+
+/**
+ * Two interleaved keys (one with a make_policy job), a custom run job,
+ * a multi-tenant job, a trace:FILE key and a key with one job.
+ */
+sweep::SweepSpec
+mixed_spec()
+{
+    sweep::SweepSpec spec;
+    sim::RunSpec base;
+    base.accesses = 40000;
+    base.seed = 42;
+    base.engine.record_timeline = true;
+    base.engine.check_invariants = true;
+    const auto add = [&](const std::string& workload,
+                         const std::string& policy, sim::RatioSpec ratio) {
+        sim::RunSpec run = base;
+        run.workload = workload;
+        run.policy = policy;
+        run.ratio = ratio;
+        return spec.add(run, {workload, policy, ratio.label()});
+    };
+    add("s1", "artmem", {1, 4});
+    add("s2", "tpp", {1, 4});
+    add("s1", "autotiering", {1, 8});
+    add("s2", "memtis", {1, 1});
+    sim::RunSpec factory = base;
+    factory.workload = "s1";
+    factory.ratio = {1, 2};
+    spec.add_with_policy(factory, {"s1", "factory"},
+                         [] { return sim::make_policy("multiclock", 5); });
+    spec.add_run({"custom"}, [base] {
+        sim::RunSpec run = base;
+        run.workload = "s2";
+        run.policy = "nimble";
+        return sim::run_experiment(run);
+    });
+    sim::RunSpec tenants = base;
+    tenants.workload = "s1";
+    tenants.policy = "autotiering";
+    tenants.tenancy.tenants = 2;
+    tenants.tenancy.quota_share = 0.4;
+    spec.add(tenants, {"tenants"});
+    const std::string trace = record_trace("ycsb", 30000);
+    add(trace, "artmem", {1, 4});
+    add("s2", "autonuma", {1, 16});
+    add(trace, "tiering08", {1, 2});
+    add("btree", "artmem", {1, 4});  // alone in its key
+    sim::RunSpec reseeded = base;    // same workload, another seed
+    reseeded.workload = "s1";
+    reseeded.seed = 43;
+    reseeded.policy = "artmem";
+    spec.add(reseeded, {"s1", "seed 43"});
+    return spec;
+}
+
+TEST(SweepRunner, SharedStreamsMatchLiveJobs)
+{
+    const auto spec = mixed_spec();
+    std::vector<std::string> live;
+    for (const auto& job : spec.jobs)
+        live.push_back(exact_summary(sweep::run_job(job)));
+    for (const unsigned jobs : {1u, 4u}) {
+        const auto shared =
+            sweep::SweepRunner({.jobs = jobs, .progress = false}).run(spec);
+        ASSERT_EQ(shared.size(), spec.jobs.size());
+        for (std::size_t i = 0; i < shared.size(); ++i) {
+            EXPECT_EQ(exact_summary(shared[i]), live[i])
+                << "job " << i << " at --jobs " << jobs;
+        }
+    }
+}
+
+TEST(SweepRunner, ExceptionInOneGroupStillRunsLaterGroups)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        sweep::SweepSpec spec;
+        sim::RunSpec run;
+        run.accesses = 20000;
+        std::atomic<int> ran{0};
+        const auto counted = [&ran] {
+            ++ran;
+            return sim::make_policy("static", 1);
+        };
+        run.workload = "s1";
+        spec.add_with_policy(run, {"s1 ok"}, counted);
+        spec.add_with_policy(run, {"s1 boom"},
+                             []() -> std::unique_ptr<policies::Policy> {
+                                 throw std::runtime_error("boom");
+                             });
+        spec.add_with_policy(run, {"s1 ok"}, counted);
+        run.workload = "s2";
+        spec.add_with_policy(run, {"s2 ok"}, counted);
+        spec.add_with_policy(run, {"s2 ok"}, counted);
+        spec.add_run({"live"}, [&ran] {
+            ++ran;
+            return sim::RunResult{};
+        });
+        sweep::SweepRunner runner({.jobs = jobs, .progress = false});
+        EXPECT_THROW((void)runner.run(spec), std::runtime_error);
+        EXPECT_EQ(ran.load(), 5) << "--jobs " << jobs;
+    }
+}
+
+TEST(SweepRunner, ProfileCountsEachSharedStreamOnce)
+{
+    sim::RunSpec run;
+    run.workload = "s1";
+    run.policy = "static";
+    run.accesses = 30000;  // 59 batches of 512 (the last short) + the end
+    run.engine.telemetry.profile = true;
+    const auto spec =
+        sweep::SweepSpec::grid({"s1"}, {"static"}, {{1, 1}, {1, 4}, {1, 8}},
+                               run);
+    const auto runs =
+        sweep::SweepRunner({.jobs = 2, .progress = false}).run(spec);
+    constexpr auto kGenerate = telemetry::Phase::kGenerate;
+    const auto calls = [&](std::size_t i) {
+        return runs[i].telemetry->phase_profiler().phase_calls(kGenerate);
+    };
+    // The stream's one generation lands on the first job, next to the
+    // 60 replay fills every job makes.
+    EXPECT_EQ(calls(0), 61u);
+    EXPECT_EQ(calls(1), 60u);
+    EXPECT_EQ(calls(2), 60u);
+    EXPECT_EQ(
+        sweep::merge_job_profiles(runs).phase_calls(kGenerate), 181u);
 }
 
 // ----------------------------------------------------------- ResultSink

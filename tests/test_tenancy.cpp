@@ -142,6 +142,19 @@ TEST(TenantSetSchedule, PhaseStrideDephasesTenants)
     EXPECT_EQ(set.total_accesses(), 64u + 59u);
 }
 
+TEST(TenantSetSchedule, TotalIsWhatFillEmits)
+{
+    // btree emits whole root-to-leaf descents, so its 100001-access
+    // share rounds up to a multiple of the tree depth; the set's total
+    // must count that rounding.
+    TenancyConfig config;
+    config.tenants = 3;
+    config.mix = {"btree", "s1", "ycsb"};
+    auto set = tenancy::make_tenant_set(config, "btree", 2ull << 20,
+                                        3 * 100001, 42);
+    EXPECT_EQ(drain(*set).size(), set->total_accesses());
+}
+
 MachineConfig
 tenant_machine_config()
 {
@@ -227,6 +240,55 @@ TEST(TenantQuota, ExchangeQuotaAppliesAcrossTenantsOnly)
     EXPECT_EQ(ledger->check_exchange(/*promoted=*/4, /*demoted=*/24),
               TenantDecision::kQuotaDenied);
     EXPECT_EQ(ledger->totals(0).quota_denied, 1u);
+}
+
+TEST(TenantQuota, OpenTxExchangesCountAgainstTheGainingTenant)
+{
+    // A transactional exchange charges both tiers only at commit, so
+    // the quota check at open must count the gains of exchanges still
+    // in flight; otherwise every open for one tenant passes against the
+    // same used count and the commits push it over quota.
+    TieredMachine machine(tenant_machine_config());
+    machine.install_tenants(two_tenant_ledger());
+    machine.prefault_range(0, 48);
+    ASSERT_TRUE(machine.migrate(0, Tier::kSlow).ok());  // tenant 0: 3 of 4
+    memsim::TxConfig tx;
+    tx.enabled = true;
+    machine.install_tx(tx);
+    const TenantLedger* ledger = machine.tenants();
+
+    // Tenant 0 gains page 4 from tenant 1's page 24: the last free slot
+    // of its quota, claimed while the copy is in flight.
+    EXPECT_EQ(machine.exchange(4, 24).status, MigrateStatus::kTxOpened);
+    EXPECT_EQ(ledger->used_pages(0, Tier::kFast), 3u);
+    // A second cross-tenant exchange and a promotion for tenant 0 are
+    // both over quota now, before the first exchange commits.
+    EXPECT_EQ(machine.exchange(5, 25).status, MigrateStatus::kQuotaDenied);
+    EXPECT_EQ(machine.migrate(6, Tier::kFast).status,
+              MigrateStatus::kQuotaDenied);
+    // A same-tenant swap is usage-neutral and still opens.
+    EXPECT_EQ(machine.exchange(7, 1).status, MigrateStatus::kTxOpened);
+    EXPECT_EQ(ledger->totals(0).quota_denied, 2u);
+
+    machine.advance(1ull << 40);
+    EXPECT_EQ(machine.poll_tx(), 2u);
+    EXPECT_EQ(machine.tier_of(4), Tier::kFast);
+    EXPECT_EQ(ledger->used_pages(0, Tier::kFast), 4u);
+    EXPECT_GT(verify::InvariantChecker::check_tenant_quota(machine), 0u);
+    // At quota after the commit, the next cross-tenant gain is refused.
+    EXPECT_EQ(machine.exchange(5, 25).status, MigrateStatus::kQuotaDenied);
+
+    // An aborted exchange releases its claim: tenant 1 gets its page
+    // back from tenant 0 (tenant 1 is at 3 of 4), a write aborts the
+    // copy, and the claim is free again for a fresh exchange.
+    memsim::TxConfig writes = tx;
+    writes.write_ratio = 1.0;
+    machine.install_tx(writes);
+    EXPECT_EQ(machine.exchange(24, 2).status, MigrateStatus::kTxOpened);
+    EXPECT_EQ(machine.exchange(28, 3).status, MigrateStatus::kQuotaDenied);
+    (void)machine.access(24);
+    EXPECT_EQ(machine.totals().tx_aborted, 1u);
+    EXPECT_EQ(machine.exchange(28, 3).status, MigrateStatus::kTxOpened);
 }
 
 TEST(Admission, StaticRateLimitsPerInterval)
@@ -428,6 +490,26 @@ TEST(TenantIntegration, SingleTenantSpecMatchesPlainRun)
     EXPECT_TRUE(a.tenants.empty());
     EXPECT_EQ(a.runtime_ns, b.runtime_ns);
     EXPECT_DOUBLE_EQ(a.fast_ratio, b.fast_ratio);
+}
+
+TEST(TenantIntegration, TxExchangesUnderFeedbackAdmissionKeepQuotas)
+{
+    // AutoTiering's exchanges under transactional migration with
+    // quotas and feedback admission used to leave a tenant over its
+    // quota after several of its exchanges committed together.
+    sim::RunSpec spec;
+    spec.workload = "s2";
+    spec.policy = "autotiering";
+    spec.ratio = {1, 4};
+    spec.accesses = 2000000;
+    spec.engine.check_invariants = true;
+    spec.engine.tx.enabled = true;
+    spec.tenancy.tenants = 4;
+    spec.tenancy.quota_share = 0.3;
+    spec.tenancy.admission = "feedback";
+    const auto result = sim::run_experiment(spec);
+    EXPECT_GT(result.invariant_audits, 0u);
+    EXPECT_GT(result.totals.exchanges, 0u);
 }
 
 TEST(TenantIntegration, FeedbackChangesGrantCountsUnderContention)

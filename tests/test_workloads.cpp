@@ -127,6 +127,63 @@ TEST(Masim, PhasesSwitchAtBoundaries)
     EXPECT_EQ(counts[10], 100u);
 }
 
+/** A valid one-phase, one-region masim config with @p key set to
+ *  @p value. */
+KvConfig
+masim_config(const std::string& key, const std::string& value)
+{
+    KvConfig config = KvConfig::parse(
+        "footprint_mib = 64\nphases = 1\nphase0.accesses = 100\n"
+        "phase0.regions = 1\nphase0.region0 = 0 64 1.0\n");
+    config.set(key, value);
+    return config;
+}
+
+TEST(Masim, ParseSpecRejectsNegativeCounts)
+{
+    EXPECT_EXIT((void)Masim::parse_spec(masim_config("footprint_mib", "-1")),
+                ::testing::ExitedWithCode(1),
+                "key 'footprint_mib' must not be negative, got -1");
+    EXPECT_EXIT((void)Masim::parse_spec(masim_config("phases", "-1")),
+                ::testing::ExitedWithCode(1),
+                "key 'phases' must not be negative, got -1");
+    EXPECT_EXIT(
+        (void)Masim::parse_spec(masim_config("phase0.accesses", "-1")),
+        ::testing::ExitedWithCode(1),
+        "key 'phase0.accesses' must not be negative, got -1");
+    EXPECT_EXIT(
+        (void)Masim::parse_spec(masim_config("phase0.regions", "-1")),
+        ::testing::ExitedWithCode(1),
+        "key 'phase0.regions' must not be negative, got -1");
+    // A footprint whose byte count does not fit 64 bits.
+    EXPECT_EXIT(
+        (void)Masim::parse_spec(masim_config("footprint_mib", "0x100000000000")),
+        ::testing::ExitedWithCode(1),
+        "key 'footprint_mib' must be at most 17592186044415");
+}
+
+TEST(Masim, ParseSpecRejectsNegativeAndNonFiniteRegionFields)
+{
+    for (const char* region : {"-1 16 1.0", "0 -16 1.0", "0 16 -1.0",
+                               "0 1e300 1.0", "0 16 1e400"}) {
+        EXPECT_EXIT((void)Masim::parse_spec(masim_config(
+                        "phase0.region0", region)),
+                    ::testing::ExitedWithCode(1), "phase0.region0")
+            << region;
+    }
+}
+
+TEST(Masim, PhaseAccessSumOverflowIsFatal)
+{
+    MasimSpec spec;
+    spec.footprint = 64ull << 20;
+    for (int i = 0; i < 3; ++i)
+        spec.phases.push_back(
+            {.accesses = 1ull << 63, .regions = {{.size = 64ull << 20}}});
+    EXPECT_EXIT(Masim(spec, kPage, 1), ::testing::ExitedWithCode(1),
+                "phase accesses overflow a 64-bit total");
+}
+
 TEST(Masim, ParseSpecRoundTrip)
 {
     const auto cfg = KvConfig::parse(
@@ -324,6 +381,18 @@ TEST(Btree, EveryLookupDescendsAllLevels)
     EXPECT_EQ(buf[0], 0u);  // root first
 }
 
+TEST(Btree, TotalIsBudgetRoundedUpToWholeLookups)
+{
+    Btree::Params params;
+    params.total_accesses = 300001;
+    Btree gen(params, kPage, 9);
+    const std::uint64_t depth = gen.depth();
+    const std::uint64_t lookups = (300001 + depth - 1) / depth;
+    EXPECT_EQ(gen.total_accesses(), lookups * depth);
+    EXPECT_GT(gen.total_accesses(), 300001u);  // 300001 is prime
+    EXPECT_EQ(drain(gen).size(), gen.total_accesses());
+}
+
 TEST(Apps, SpecsMatchTable3Footprints)
 {
     EXPECT_EQ(xsbench_spec(1).footprint, 69ull << 30);
@@ -341,6 +410,48 @@ TEST(Factory, BuildsEveryAdvertisedWorkload)
         EXPECT_GT(gen->footprint(), 0u) << name;
         std::vector<PageId> buf(128);
         EXPECT_GT(gen->fill(buf), 0u) << name;
+    }
+}
+
+/**
+ * Drain @p gen in batches of @p batch, checking the AccessGenerator
+ * contract on every call: fill() writes min(batch, remaining) ids, so
+ * only the last batch is short, and the stream ends at exactly
+ * total_accesses().
+ */
+std::vector<PageId>
+drain_checked(AccessGenerator& gen, std::size_t batch)
+{
+    const std::uint64_t total = gen.total_accesses();
+    std::vector<PageId> stream;
+    std::vector<PageId> buf(batch);
+    while (true) {
+        const std::size_t n = gen.fill(buf);
+        const std::uint64_t want =
+            std::min<std::uint64_t>(batch, total - stream.size());
+        EXPECT_EQ(n, want) << gen.name() << " batch " << batch
+                           << " after " << stream.size() << " accesses";
+        if (n == 0 || n != want)
+            break;
+        stream.insert(stream.end(), buf.begin(), buf.begin() + n);
+    }
+    EXPECT_EQ(stream.size(), total) << gen.name() << " batch " << batch;
+    return stream;
+}
+
+TEST(Factory, EveryWorkloadFillsWholeBatchesAndEmitsItsTotal)
+{
+    // A budget that is a multiple of none of the batch sizes, so every
+    // drain ends in a short batch.
+    constexpr std::uint64_t kBudget = 100003;
+    for (const auto name : workload_names()) {
+        auto one_by_one = make_workload(name, kPage, kBudget, 7);
+        const auto reference = drain_checked(*one_by_one, 1);
+        for (const std::size_t batch : {37, 512, 4096}) {
+            auto gen = make_workload(name, kPage, kBudget, 7);
+            EXPECT_EQ(drain_checked(*gen, batch), reference)
+                << name << " batch " << batch;
+        }
     }
 }
 
@@ -424,6 +535,24 @@ TEST(Trace, RecordAndReplayRoundTrip)
                 ::testing::ExitedWithCode(1),
                 "recorded at page size 2097152 but the machine page size "
                 "is 4096");
+}
+
+TEST(Trace, StreamReplayCopiesMinOfBatchAndRemaining)
+{
+    const std::vector<PageId> stream = {3, 1, 4, 1, 5, 9, 2};
+    StreamReplay replay("pi", 10 * kPage, stream);
+    EXPECT_EQ(replay.name(), "pi");
+    EXPECT_EQ(replay.footprint(), 10 * kPage);
+    EXPECT_EQ(replay.total_accesses(), stream.size());
+    std::vector<PageId> buf(3);
+    ASSERT_EQ(replay.fill(buf), 3u);
+    EXPECT_EQ(buf, (std::vector<PageId>{3, 1, 4}));
+    ASSERT_EQ(replay.fill(buf), 3u);
+    EXPECT_EQ(buf, (std::vector<PageId>{1, 5, 9}));
+    ASSERT_EQ(replay.fill(buf), 1u);
+    EXPECT_EQ(buf[0], 2u);
+    EXPECT_EQ(replay.fill(buf), 0u);
+    EXPECT_EQ(replay.fill({}), 0u);
 }
 
 TEST(Trace, ReplayRejectsGarbage)
