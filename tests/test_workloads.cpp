@@ -9,6 +9,8 @@
 #include <fstream>
 #include <map>
 
+#include "tenancy/tenancy.hpp"
+#include "tenancy/tenant_set.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/btree.hpp"
 #include "workloads/factory.hpp"
@@ -453,6 +455,70 @@ TEST(Factory, EveryWorkloadFillsWholeBatchesAndEmitsItsTotal)
                 << name << " batch " << batch;
         }
     }
+}
+
+/** 64-bit digest of @p gen's whole fill() stream, order included. */
+std::uint64_t
+stream_digest(AccessGenerator& gen)
+{
+    std::uint64_t h = 0x6a09e667f3bcc908ull;
+    std::vector<PageId> buf(4096);
+    std::size_t n;
+    while ((n = gen.fill(buf)) > 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+            // splitmix64's finaliser over the running state and the id:
+            // a change anywhere in the stream changes the digest.
+            h = (h ^ buf[i]) + 0x9e3779b97f4a7c15ull;
+            h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+            h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+            h ^= h >> 31;
+        }
+    }
+    return h;
+}
+
+TEST(Factory, EveryWorkloadStreamMatchesGolden)
+{
+    // Golden digests of every built-in generator's full stream (seed 11,
+    // 200k accesses, 2 MiB pages) and of a 16-tenant interleaving. The
+    // generators' fast paths (the Zipf table walk, MASIM's region pick,
+    // the B-tree descent) must reproduce these streams exactly; a
+    // deliberate change to a generator's output re-records them.
+    constexpr std::uint64_t kAccesses = 200000;
+    constexpr std::uint64_t kSeed = 11;
+    const std::map<std::string_view, std::uint64_t> golden = {
+        {"ycsb", 0xd6a620d463fa4938ull},
+        {"ycsb_w", 0xe4c9ca1c08381bb1ull},
+        {"cc", 0x115cd1220eaa37caull},
+        {"sssp", 0x58d878db039230c5ull},
+        {"pr", 0xee314537ebbf21eeull},
+        {"xsbench", 0x96f6736272e1602cull},
+        {"dlrm", 0xe0433b768f580820ull},
+        {"btree", 0xdc801dea7b9375a6ull},
+        {"liblinear", 0x89aa91e05dea88c7ull},
+        {"s1", 0xdf96bee8ae69dddcull},
+        {"s2", 0x4063968128b87ddaull},
+        {"s3", 0xc832e55112588f9aull},
+        {"s4", 0x6c8104aaacfcc5a6ull},
+        {"uniform", 0x4fee105504d36e46ull},
+        {"sequential", 0x21463dc69876a06dull},
+    };
+    ASSERT_EQ(golden.size(), workload_names().size());
+    for (const auto name : workload_names()) {
+        auto gen = make_workload(name, kPage, kAccesses, kSeed);
+        const auto it = golden.find(name);
+        ASSERT_NE(it, golden.end()) << name;
+        const std::uint64_t digest = stream_digest(*gen);
+        EXPECT_EQ(digest, it->second)
+            << name << std::hex << " digest 0x" << digest;
+    }
+
+    tenancy::TenancyConfig config;
+    config.tenants = 16;
+    config.mix = {"s2", "ycsb", "s3", "btree"};
+    auto set = tenancy::make_tenant_set(config, "s2", kPage, kAccesses, kSeed);
+    const std::uint64_t tenants = stream_digest(*set);
+    EXPECT_EQ(tenants, 0x9cbf8296894392ecull) << std::hex << "tenants digest 0x" << tenants;
 }
 
 TEST(Factory, AppListIsTable3)
