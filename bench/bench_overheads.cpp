@@ -10,7 +10,8 @@
  *  - Q-table memory: both tables fit in < 10 KB (checked and printed);
  *  - workload generation: ns per Zipf rank draw and us per Zipf
  *    generator construction, over the (n, theta) of every generator
- *    the workloads build (ungated layer numbers);
+ *    the workloads build (ungated layer numbers), and accesses per wall
+ *    second of fill() alone for ycsb, s2 and btree (gated);
  *  - sweep dispatch: per-job cost of SweepRunner's worker dispatch
  *    (must be negligible against a multi-millisecond simulation job),
  *    and the accesses per wall second of a Figure 7-shaped sweep whose
@@ -38,6 +39,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
+#include "workloads/factory.hpp"
 
 namespace {
 
@@ -207,6 +209,40 @@ BM_ZipfBuild(benchmark::State& state)
 BENCHMARK(BM_ZipfBuild)
     ->DenseRange(0, std::size(kZipfCases) - 1)
     ->Unit(benchmark::kMicrosecond);
+
+void
+BM_Fill(benchmark::State& state, const char* workload)
+{
+    // Workload-generation layer alone: one fresh generator per
+    // iteration (built untimed) drained through the engine's batch size,
+    // 2M accesses at 2 MiB pages. Gated in BENCH_hotpath.json, so a
+    // generator slowdown fails even where the rest of the loop hides it.
+    constexpr std::uint64_t kAccesses = 2000000;
+    std::vector<PageId> batch(sim::EngineConfig{}.batch_size);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto gen = workloads::make_workload(workload, 2ull << 20, kAccesses,
+                                            42);
+        state.ResumeTiming();
+        std::uint64_t filled = 0;
+        std::size_t n;
+        while ((n = gen->fill(batch)) > 0)
+            filled += n;
+        benchmark::DoNotOptimize(filled);
+        benchmark::DoNotOptimize(batch.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kAccesses));
+}
+BENCHMARK_CAPTURE(BM_Fill, ycsb, "ycsb")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Fill, s2, "s2")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_Fill, btree, "btree")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_SimTelemetry(benchmark::State& state)
@@ -460,13 +496,13 @@ main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the
     // end-to-end throughput benchmarks (single runs and the shared-stream
-    // sweep) at one iteration each, mirroring the fig-harness --quick
+    // sweep) and the generator fills at one iteration each, mirroring the fig-harness --quick
     // convention. Expanded into native google-benchmark flags so the
     // library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char filter[] =
-        "--benchmark_filter=BM_SimThroughput|BM_SweepSharedStreams";
+        "--benchmark_filter=BM_SimThroughput|BM_SweepSharedStreams|BM_Fill";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";
     bool quick = false;

@@ -34,7 +34,7 @@ constexpr std::size_t kTableRanks = 4096;
 /**
  * Guide entries per table rank, uniform over [0, table end). Even in
  * the densest tail of the table an entry then spans only a boundary or
- * two, keeping the linear scan after the indexed lookup O(1).
+ * two, inside the lookup's fixed ZipfianGenerator::kWalkSteps.
  */
 constexpr std::size_t kGuidePerRank = 4;
 
@@ -157,27 +157,38 @@ ZipfianGenerator::build_table()
 
     // The table rank of u is the first index whose boundary exceeds it:
     // an upper-bound search. The guide grid turns that search into an
-    // indexed jump: guide_[e] holds the upper bound at the entry's left
-    // edge (one merge walk, the edges and boundaries both ascend), and
-    // rank_from_table() walks the final step.
+    // indexed jump plus a fixed walk. A draw u indexes entry
+    // index(u) = u * guide_scale_, which is monotone in u (rounding
+    // preserves order), so a boundary b lies below every draw of entry
+    // e exactly when index(b) < e, and only boundaries with index(b) == e
+    // can lie between a draw of e and the start. guide_[e] counts the
+    // former: never above the rank of any draw of e. The most
+    // boundaries sharing one index bounds the walk. The grid has one
+    // entry more than kGuidePerRank per rank: draws just under
+    // table_end_ can round up to index entries.
     table_end_ = boundaries_.back();
     const std::size_t entries = kGuidePerRank * boundaries_.size();
     guide_scale_ = static_cast<double>(entries) / table_end_;
-    guide_.resize(entries);
+    guide_.resize(entries + 1);
+    walk_span_ = 0;
     std::size_t r = 0;
-    for (std::size_t e = 0; e < entries; ++e) {
-        const double edge = static_cast<double>(e) / guide_scale_;
-        while (r < boundaries_.size() && boundaries_[r] <= edge)
+    for (std::size_t e = 0; e <= entries; ++e) {
+        guide_[e] = static_cast<std::uint16_t>(
+            std::min(r, boundaries_.size() - 1));
+        const std::size_t start = r;
+        while (r < boundaries_.size() &&
+               static_cast<std::size_t>(boundaries_[r] * guide_scale_) <= e)
             ++r;
-        guide_[e] = static_cast<std::uint16_t>(r);
+        walk_span_ = std::max(walk_span_, r - start);
     }
 
-    if (!verify_table()) {
+    if (walk_span_ > kWalkSteps || !verify_table()) {
         boundaries_.clear();
         guide_.clear();
         slack_ = 0;
         table_end_ = 0.0;
         guide_scale_ = 0.0;
+        walk_span_ = 0;
     }
 }
 
@@ -232,23 +243,6 @@ ZipfianGenerator::verify_table() const
             return false;
     }
     return true;
-}
-
-ScrambledZipfianGenerator::ScrambledZipfianGenerator(std::uint64_t n,
-                                                     double theta)
-    : base_(n, theta), n_(n)
-{
-}
-
-std::uint64_t
-ScrambledZipfianGenerator::next(Rng& rng)
-{
-    std::uint64_t rank = base_.next(rng);
-    // FNV-1a style scramble of the rank, folded back into [0, n).
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = (h ^ rank) * 0x100000001b3ull;
-    h ^= h >> 33;
-    return h % n_;
 }
 
 }  // namespace artmem

@@ -15,9 +15,9 @@
  * patterns: rank_of(lo) <= r < rank_of(hi). The table keeps hi, and a
  * draw that lands inside a bracket (1e-9 of draws or fewer on the
  * workloads' generators) takes the closed form. A draw inside the
- * table indexes a guide grid for a start rank and linearly scans at
- * most a couple of boundaries; any other draw (and any table whose
- * verification failed) takes the closed form.
+ * table indexes a guide grid for a start rank and then takes a fixed
+ * number of branch-free steps over the boundaries; any other draw (and
+ * any table whose verification failed) takes the closed form.
  * Both paths return bit-identical ranks for every representable u —
  * enforced by tests/test_diff_model.cpp, which cross-checks millions of
  * draws and sweeps every bracket end.
@@ -90,6 +90,22 @@ class ZipfianGenerator
     /** Bracket width in ULPs shared by every table rank. */
     std::uint64_t table_slack() const { return slack_; }
 
+    /**
+     * Steps rank_from_table() takes after its guide lookup. A table
+     * whose widest guide entry spans more boundaries than this is
+     * dropped at construction.
+     */
+    static constexpr std::size_t kWalkSteps = 4;
+
+    /** Guide entries a table draw can index (0 if disabled). */
+    std::size_t table_guide_entries() const { return guide_.size(); }
+
+    /** Guide entries per unit u: draw u indexes entry u * scale. */
+    double table_guide_scale() const { return guide_scale_; }
+
+    /** Boundaries the widest guide entry spans (<= kWalkSteps). */
+    std::size_t table_walk_span() const { return walk_span_; }
+
   private:
     static double zeta(std::uint64_t n, double theta);
 
@@ -97,25 +113,22 @@ class ZipfianGenerator
     bool verify_table() const;
 
     /**
-     * Table lookup for u < table_end_. The guide grid gives a start
-     * rank; the scan below is correct for any start hint (it walks to
-     * the first boundary above u in both directions), so floating
-     * rounding in the guide index cannot change the result — only add
-     * a step to the scan. Then u >= boundaries_[r-1] proves rank >= r,
-     * and u at least slack_ ULPs under boundaries_[r] proves rank <= r;
-     * a u inside the bracket takes the closed form.
+     * Table lookup for u < table_end_. guide_[g] counts the boundaries
+     * below every draw that indexes entry g, so it never exceeds the
+     * rank of u, and build_table() proved that no entry holds more
+     * than kWalkSteps boundaries: the fixed walk below ends on the
+     * first boundary above u. It cannot run past the table because
+     * u < table_end_ == boundaries_.back(). Then u >= boundaries_[r-1]
+     * proves rank >= r, and u at least slack_ ULPs under
+     * boundaries_[r] proves rank <= r; a u inside the bracket takes the
+     * closed form.
      */
     std::uint64_t
     rank_from_table(double u) const
     {
-        auto g = static_cast<std::size_t>(u * guide_scale_);
-        if (g >= guide_.size())
-            g = guide_.size() - 1;
-        std::size_t r = guide_[g];
-        while (r > 0 && boundaries_[r - 1] > u)
-            --r;
-        while (boundaries_[r] <= u)
-            ++r;
+        std::size_t r = guide_[static_cast<std::size_t>(u * guide_scale_)];
+        for (std::size_t step = 0; step < kWalkSteps; ++step)
+            r += boundaries_[r] <= u;
         if (std::bit_cast<std::uint64_t>(u) + slack_ <=
             std::bit_cast<std::uint64_t>(boundaries_[r]))
             return r;
@@ -136,28 +149,16 @@ class ZipfianGenerator
     std::uint64_t slack_ = 0;
     /** boundaries_.back(), or 0.0 (no u routes to the table) if none. */
     double table_end_ = 0.0;
-    /** Per-entry start rank over a uniform u grid covering the table. */
+    /**
+     * Per-entry start rank over a uniform u grid covering the table,
+     * with one extra entry for the draws just under table_end_ whose
+     * product with guide_scale_ rounds up to the grid size.
+     */
     std::vector<std::uint16_t> guide_;
-    /** Guide entries per unit u: guide_.size() / table_end_. */
+    /** Grid entries per unit u: grid size / table_end_. */
     double guide_scale_ = 0.0;
-};
-
-/**
- * A "scrambled" Zipfian: Zipfian ranks hashed across the key space, so
- * the popular items are spread uniformly over the address range, as in
- * YCSB's ScrambledZipfianGenerator.
- */
-class ScrambledZipfianGenerator
-{
-  public:
-    ScrambledZipfianGenerator(std::uint64_t n, double theta = 0.99);
-
-    /** Draw the next item id in [0, n). */
-    std::uint64_t next(Rng& rng);
-
-  private:
-    ZipfianGenerator base_;
-    std::uint64_t n_;
+    /** Boundaries the widest guide entry spans. */
+    std::size_t walk_span_ = 0;
 };
 
 }  // namespace artmem

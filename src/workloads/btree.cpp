@@ -52,38 +52,58 @@ Btree::Btree(const Params& params, Bytes page_size, std::uint64_t seed)
     block_size_ = (leaf_count_ + leaf_blocks_ - 1) / leaf_blocks_;
     const double theta = std::clamp(params_.key_theta, 1e-9, 0.999);
     zipf_ = std::make_unique<ZipfianGenerator>(leaf_blocks_, theta);
+    pending_.resize(depth);
+    pending_pos_ = depth;
+}
+
+void
+Btree::descend(std::uint64_t leaf, std::span<PageId> path) const
+{
+    // Ancestors bottom-up, one division per level:
+    // floor(floor(x / a) / a) == floor(x / a^2).
+    std::uint64_t ancestor = leaf;
+    for (std::size_t level = path.size() - 1;; --level) {
+        std::uint64_t node = ancestor;
+        if (node >= level_nodes_[level])
+            node %= level_nodes_[level];
+        const Bytes addr = level_base_[level] + node * params_.node_size;
+        path[level] = static_cast<PageId>(addr / page_size_);
+        if (level == 0)
+            break;
+        ancestor /= params_.fanout;
+    }
 }
 
 std::size_t
 Btree::fill(std::span<PageId> out)
 {
-    std::size_t produced = 0;
-    while (produced < out.size()) {
-        // Drain a partially emitted lookup path first.
-        if (pending_pos_ < pending_.size()) {
-            out[produced++] = pending_[pending_pos_++];
-            continue;
-        }
-        if (emitted_ >= total_)
-            break;
+    // Finish the descent the previous batch split first.
+    const std::size_t carried =
+        std::min(pending_.size() - pending_pos_, out.size());
+    std::copy_n(pending_.begin() + static_cast<std::ptrdiff_t>(pending_pos_),
+                carried, out.begin());
+    pending_pos_ += carried;
+    std::size_t produced = carried;
+    const std::size_t depth = level_base_.size();
+    while (produced < out.size() && emitted_ < total_) {
         // One lookup: root-to-leaf descent toward a (skewed-)random leaf.
         const std::uint64_t block = zipf_->next(rng_);
         const std::uint64_t leaf = std::min<std::uint64_t>(
             block * block_size_ + rng_.next_below(block_size_),
             leaf_count_ - 1);
-        pending_.clear();
-        pending_pos_ = 0;
-        const std::size_t depth = level_base_.size();
-        for (std::size_t level = 0; level < depth; ++level) {
-            // The ancestor of `leaf` at this level.
-            std::uint64_t node = leaf;
-            for (std::size_t below = level; below + 1 < depth; ++below)
-                node /= params_.fanout;
-            node %= level_nodes_[level];
-            const Bytes addr = level_base_[level] + node * params_.node_size;
-            pending_.push_back(static_cast<PageId>(addr / page_size_));
+        // A descent that fits goes straight into the batch; one split
+        // by the batch end goes through pending_.
+        const bool whole = out.size() - produced >= depth;
+        PageId* path = whole ? out.data() + produced : pending_.data();
+        descend(leaf, {path, depth});
+        emitted_ += depth;
+        if (whole) {
+            produced += depth;
+            continue;
         }
-        emitted_ += pending_.size();
+        pending_pos_ = out.size() - produced;
+        std::copy_n(pending_.begin(), pending_pos_, out.begin() + produced);
+        produced = out.size();
     }
     return produced;
 }

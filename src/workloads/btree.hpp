@@ -50,6 +50,15 @@ class Btree final : public AccessGenerator
     /** Tree depth chosen for the footprint (tests). */
     unsigned depth() const { return static_cast<unsigned>(level_base_.size()); }
 
+    /** Leaf count, the node count of the last level (tests). */
+    std::uint64_t leaf_count() const { return leaf_count_; }
+
+    /**
+     * Write the root-to-leaf page path of @p leaf (< leaf_count()) into
+     * @p path, which holds depth() ids: the lookup fill() emits.
+     */
+    void descend(std::uint64_t leaf, std::span<PageId> path) const;
+
   private:
     Params params_;
     Bytes page_size_;
@@ -64,7 +73,10 @@ class Btree final : public AccessGenerator
     std::uint64_t leaf_count_ = 0;
     std::uint64_t leaf_blocks_ = 0;
     std::uint64_t block_size_ = 1;
-    /** Path buffer between fill() calls when the batch splits a lookup. */
+    /**
+     * Path of the lookup the last batch split; pending_[pending_pos_..]
+     * are still to be emitted (none when pending_pos_ == depth).
+     */
     std::vector<PageId> pending_;
     std::size_t pending_pos_ = 0;
 };

@@ -70,25 +70,37 @@ Masim::fill(std::span<PageId> out)
             prepare_phase(phase_index_ + 1);
             continue;
         }
-        // Pick a region by weight (few regions: linear scan).
-        const double pick = rng_.next_double() * weight_sum_;
-        PreparedRegion* region = &prepared_.back();
-        for (auto& p : prepared_) {
-            if (pick < p.cumulative_weight) {
-                region = &p;
-                break;
+        // One chunk stays inside the phase, so the region set is fixed
+        // and the RNG can live in a register until the chunk ends.
+        const std::size_t chunk = static_cast<std::size_t>(
+            std::min<std::uint64_t>(remaining_in_phase_,
+                                    out.size() - produced));
+        const std::size_t last = prepared_.size() - 1;
+        Rng rng = rng_;
+        for (std::size_t i = 0; i < chunk; ++i) {
+            // Pick a region by weight. The cumulative weights never
+            // decrease, so counting the leading regions whose weight the
+            // pick passes is the first region with pick < weight, or the
+            // last region if none of the others qualifies.
+            const double pick = rng.next_double() * weight_sum_;
+            std::size_t index = 0;
+            for (std::size_t k = 0; k < last; ++k)
+                index += !(pick < prepared_[k].cumulative_weight);
+            PreparedRegion& region = prepared_[index];
+            PageId page;
+            if (region.sequential) {
+                page = region.first_page + region.cursor;
+                const PageId next = region.cursor + 1;
+                region.cursor = next == region.page_span ? 0 : next;
+            } else {
+                page = region.first_page +
+                       static_cast<PageId>(rng.next_below(region.page_span));
             }
+            out[produced + i] = page;
         }
-        PageId page;
-        if (region->sequential) {
-            page = region->first_page + region->cursor;
-            region->cursor = (region->cursor + 1) % region->page_span;
-        } else {
-            page = region->first_page +
-                   static_cast<PageId>(rng_.next_below(region->page_span));
-        }
-        out[produced++] = page;
-        --remaining_in_phase_;
+        rng_ = rng;
+        produced += chunk;
+        remaining_in_phase_ -= chunk;
     }
     return produced;
 }

@@ -1027,9 +1027,11 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
     // Small n (the table covers every rank), the paper-scale skews, and
     // the six (n, theta) pairs the workloads build: ycsb, ycsb_w, cc,
     // pr, sssp (default footprints at 2 MiB pages) and btree's leaf
-    // blocks. Each case first sweeps the table deterministically: both
-    // ends of every rank's bracket, one ULP either side of each, and
-    // the midpoint of every rank's interval. Then two identically
+    // blocks. Each case builds a full table inside the fixed walk, then
+    // sweeps the table deterministically: both ends of every rank's
+    // bracket, one ULP either side of each, the midpoint of every
+    // rank's interval, and the smallest and largest double that index
+    // every guide entry, one ULP either side of each. Then two identically
     // seeded RNGs consume the same uniform u: one feeds the
     // table-backed next(), one the closed form directly.
     const struct {
@@ -1049,6 +1051,7 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
                      << "n=" << c.n << " theta=" << c.theta);
         const ZipfianGenerator zipf(c.n, c.theta);
         ASSERT_EQ(zipf.table_ranks(), std::min(c.n - 1, kTableRanks));
+        ASSERT_LE(zipf.table_walk_span(), ZipfianGenerator::kWalkSteps);
 
         const auto boundaries = zipf.table_boundaries();
         double prev = 0.0;
@@ -1066,6 +1069,45 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
             ASSERT_EQ(zipf.rank_for(mid), r) << "midpoint of rank " << r;
             ASSERT_EQ(zipf.rank_of(mid), r) << "midpoint of rank " << r;
             prev = boundaries[r];
+        }
+
+        // Guide entry edges, found by a bit-pattern binary search for
+        // the smallest double whose index reaches each entry (the index
+        // is monotone in u); entry e's largest double is one under entry
+        // e+1's smallest. The last entry takes the draws under the table
+        // end whose product rounds up to the grid size.
+        const double scale = zipf.table_guide_scale();
+        const std::uint64_t end_bits = bits(boundaries.back());
+        const auto first_reaching = [&](std::size_t e) {
+            std::uint64_t lo = 0;
+            std::uint64_t hi = end_bits;
+            while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (static_cast<std::size_t>(from(mid) * scale) >= e)
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            return lo;
+        };
+        const std::size_t entries = zipf.table_guide_entries();
+        ASSERT_EQ(entries, 4 * boundaries.size() + 1);
+        std::uint64_t smallest = 0;
+        for (std::size_t e = 0; e < entries; ++e) {
+            const std::uint64_t next =
+                e + 1 < entries ? first_reaching(e + 1) : end_bits;
+            if (next == smallest)
+                continue;  // no double indexes entry e
+            const std::uint64_t largest = next - 1;
+            for (const std::uint64_t edge : {smallest, largest}) {
+                const std::uint64_t below = edge == 0 ? 0 : edge - 1;
+                for (const std::uint64_t b : {below, edge, edge + 1}) {
+                    const double u = from(b);
+                    ASSERT_EQ(zipf.rank_for(u), zipf.rank_of(u))
+                        << "guide entry " << e << " u=" << u;
+                }
+            }
+            smallest = next;
         }
 
         Rng fast(91);

@@ -61,6 +61,32 @@ drain(AccessGenerator& gen)
     return stream;
 }
 
+/**
+ * Drain @p gen in batches of @p batch, checking the AccessGenerator
+ * contract on every call: fill() writes min(batch, remaining) ids, so
+ * only the last batch is short, and the stream ends at exactly
+ * total_accesses().
+ */
+std::vector<PageId>
+drain_checked(AccessGenerator& gen, std::size_t batch)
+{
+    const std::uint64_t total = gen.total_accesses();
+    std::vector<PageId> stream;
+    std::vector<PageId> buf(batch);
+    while (true) {
+        const std::size_t n = gen.fill(buf);
+        const std::uint64_t want =
+            std::min<std::uint64_t>(batch, total - stream.size());
+        EXPECT_EQ(n, want) << gen.name() << " batch " << batch
+                           << " after " << stream.size() << " accesses";
+        if (n == 0 || n != want)
+            break;
+        stream.insert(stream.end(), buf.begin(), buf.begin() + n);
+    }
+    EXPECT_EQ(stream.size(), total) << gen.name() << " batch " << batch;
+    return stream;
+}
+
 TEST(Masim, RespectsBudgetAndFootprint)
 {
     MasimSpec spec;
@@ -127,6 +153,87 @@ TEST(Masim, PhasesSwitchAtBoundaries)
     auto counts = histogram(gen);
     EXPECT_EQ(counts[0], 100u);
     EXPECT_EQ(counts[10], 100u);
+}
+
+/**
+ * The MASIM stream by the plain per-access definition: draw a pick,
+ * take the first region whose cumulative weight exceeds it (the last
+ * region if none does), then step or draw inside that region.
+ */
+std::vector<PageId>
+masim_reference(const MasimSpec& spec, Bytes page_size, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<PageId> stream;
+    for (const auto& phase : spec.phases) {
+        std::vector<double> cumulative;
+        std::vector<PageId> cursor(phase.regions.size(), 0);
+        double sum = 0.0;
+        for (const auto& r : phase.regions)
+            cumulative.push_back(sum += r.weight);
+        for (std::uint64_t i = 0; i < phase.accesses; ++i) {
+            const double pick = rng.next_double() * sum;
+            std::size_t k = 0;
+            while (k + 1 < cumulative.size() && !(pick < cumulative[k]))
+                ++k;
+            const MasimRegion& r = phase.regions[k];
+            const auto first = static_cast<PageId>(r.offset / page_size);
+            const auto span = static_cast<PageId>(
+                (r.offset + r.size - 1) / page_size - first + 1);
+            if (r.sequential) {
+                stream.push_back(first + cursor[k]);
+                cursor[k] = (cursor[k] + 1) % span;
+            } else {
+                stream.push_back(
+                    first + static_cast<PageId>(rng.next_below(span)));
+            }
+        }
+    }
+    return stream;
+}
+
+TEST(Masim, RegionPickMatchesFirstMatchReference)
+{
+    // Sequential and random regions mixed in one phase, a weight of
+    // 1e-300 after a large one (its cumulative weight equals the one
+    // before it), a single-region phase and a phase of equal weights,
+    // drained in batches that split every phase.
+    constexpr Bytes kSmallPage = 4096;
+    MasimSpec spec;
+    spec.name = "edges";
+    spec.footprint = 64ull << 20;
+    MasimPhase mixed;
+    mixed.accesses = 30011;
+    mixed.regions = {
+        {0, 1ull << 20, 3.0, true},
+        {1ull << 20, 5ull << 20, 1.0, false},
+        {8ull << 20, 7 * kSmallPage + 1, 2.0, true},
+        {16ull << 20, 2ull << 20, 0.5, false},
+    };
+    MasimPhase flat;
+    flat.accesses = 20011;
+    flat.regions = {
+        {0, 1ull << 20, 1e6, false},
+        {2ull << 20, 1ull << 20, 1e-300, true},
+        {4ull << 20, 1ull << 20, 1e-300, false},
+        {6ull << 20, 3 * kSmallPage, 1.0, true},
+    };
+    MasimPhase single;
+    single.accesses = 997;
+    single.regions = {{32ull << 20, 5 * kSmallPage, 1.0, true}};
+    MasimPhase tied;
+    tied.accesses = 5003;
+    tied.regions = {
+        {0, 1ull << 20, 1.0, true},
+        {1ull << 20, 1ull << 20, 1.0, false},
+        {2ull << 20, 1ull << 20, 1.0, true},
+    };
+    spec.phases = {mixed, flat, single, tied};
+    const auto reference = masim_reference(spec, kSmallPage, 5);
+    for (const std::size_t batch : {1, 7, 4096, 100000}) {
+        Masim gen(spec, kSmallPage, 5);
+        EXPECT_EQ(drain_checked(gen, batch), reference) << "batch " << batch;
+    }
 }
 
 /** A valid one-phase, one-region masim config with @p key set to
@@ -395,6 +502,84 @@ TEST(Btree, TotalIsBudgetRoundedUpToWholeLookups)
     EXPECT_EQ(drain(gen).size(), gen.total_accesses());
 }
 
+/** Root-to-leaf pages of @p leaf by top-down per-level division. */
+std::vector<PageId>
+btree_reference_path(const Btree::Params& params, Bytes page_size,
+                     unsigned depth, std::uint64_t leaf)
+{
+    std::vector<PageId> path;
+    Bytes base = 0;
+    std::uint64_t nodes = 1;
+    for (unsigned level = 0; level < depth; ++level) {
+        std::uint64_t node = leaf;
+        for (unsigned below = level; below + 1 < depth; ++below)
+            node /= params.fanout;
+        path.push_back(
+            static_cast<PageId>((base + node * params.node_size) / page_size));
+        base += nodes * params.node_size;
+        nodes *= params.fanout;
+    }
+    return path;
+}
+
+TEST(Btree, DescentMatchesTopDownReferenceAtEveryEdge)
+{
+    // A truncated last level (1 GiB) and an exactly full one (16-ary,
+    // 1 + 16 + 256 + 4096 nodes of 4 KiB), at the first leaf, the last
+    // leaf and the leaves around every level's node boundaries. Pages
+    // of one node each, so every ancestor shows in the path.
+    constexpr Bytes kNodePage = 4096;
+    Btree::Params truncated;
+    truncated.footprint = 1ull << 30;
+    Btree::Params full;
+    full.fanout = 16;
+    full.footprint = (1 + 16 + 256 + 4096) * full.node_size;
+    for (const auto& params : {truncated, full}) {
+        Btree gen(params, kNodePage, 3);
+        const unsigned depth = gen.depth();
+        const std::uint64_t last = gen.leaf_count() - 1;
+        std::vector<std::uint64_t> leaves = {0, 1, last - 1, last};
+        for (std::uint64_t span = params.fanout; span <= last;
+             span *= params.fanout) {
+            leaves.push_back(span - 1);
+            leaves.push_back(span);
+        }
+        std::vector<PageId> path(depth);
+        for (const std::uint64_t leaf : leaves) {
+            gen.descend(leaf, path);
+            EXPECT_EQ(path,
+                      btree_reference_path(params, kNodePage, depth, leaf))
+                << "fanout " << params.fanout << " leaf " << leaf;
+        }
+    }
+    // Leaf 0's path is the first node of every level.
+    Btree gen(full, kNodePage, 3);
+    std::vector<PageId> path(gen.depth());
+    gen.descend(0, path);
+    EXPECT_EQ(path, (std::vector<PageId>{0, 1, 17, 273}));
+    EXPECT_EQ(gen.leaf_count(), 4096u);
+}
+
+TEST(Btree, DescentSplitAcrossBatchesResumes)
+{
+    // Batches one short of, one over and well under a descent split
+    // lookups at every offset; the stream must equal whole-batch fills
+    // and stay made of whole descents from the root.
+    Btree::Params params;
+    params.footprint = 1ull << 30;
+    params.total_accesses = 5003;
+    Btree whole(params, kPage, 4);
+    const auto reference = drain_checked(whole, 4096);
+    const std::size_t depth = whole.depth();
+    ASSERT_EQ(reference.size() % depth, 0u);
+    for (std::size_t i = 0; i < reference.size(); i += depth)
+        ASSERT_EQ(reference[i], 0u) << "descent at " << i;
+    for (const std::size_t batch : {depth - 1, depth + 1, std::size_t{2}}) {
+        Btree gen(params, kPage, 4);
+        EXPECT_EQ(drain_checked(gen, batch), reference) << "batch " << batch;
+    }
+}
+
 TEST(Apps, SpecsMatchTable3Footprints)
 {
     EXPECT_EQ(xsbench_spec(1).footprint, 69ull << 30);
@@ -413,32 +598,6 @@ TEST(Factory, BuildsEveryAdvertisedWorkload)
         std::vector<PageId> buf(128);
         EXPECT_GT(gen->fill(buf), 0u) << name;
     }
-}
-
-/**
- * Drain @p gen in batches of @p batch, checking the AccessGenerator
- * contract on every call: fill() writes min(batch, remaining) ids, so
- * only the last batch is short, and the stream ends at exactly
- * total_accesses().
- */
-std::vector<PageId>
-drain_checked(AccessGenerator& gen, std::size_t batch)
-{
-    const std::uint64_t total = gen.total_accesses();
-    std::vector<PageId> stream;
-    std::vector<PageId> buf(batch);
-    while (true) {
-        const std::size_t n = gen.fill(buf);
-        const std::uint64_t want =
-            std::min<std::uint64_t>(batch, total - stream.size());
-        EXPECT_EQ(n, want) << gen.name() << " batch " << batch
-                           << " after " << stream.size() << " accesses";
-        if (n == 0 || n != want)
-            break;
-        stream.insert(stream.end(), buf.begin(), buf.begin() + n);
-    }
-    EXPECT_EQ(stream.size(), total) << gen.name() << " batch " << batch;
-    return stream;
 }
 
 TEST(Factory, EveryWorkloadFillsWholeBatchesAndEmitsItsTotal)
