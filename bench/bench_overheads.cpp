@@ -496,9 +496,9 @@ main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the
     // end-to-end throughput benchmarks (single runs and the shared-stream
-    // sweep) and the generator fills at one iteration each, mirroring the fig-harness --quick
-    // convention. Expanded into native google-benchmark flags so the
-    // library still does all the timing.
+    // sweep) and the generator fills at one iteration each, mirroring
+    // the fig-harness --quick convention. Expanded into native
+    // google-benchmark flags so the library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char filter[] =

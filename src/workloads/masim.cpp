@@ -79,9 +79,10 @@ Masim::fill(std::span<PageId> out)
         Rng rng = rng_;
         for (std::size_t i = 0; i < chunk; ++i) {
             // Pick a region by weight. The cumulative weights never
-            // decrease, so counting the leading regions whose weight the
-            // pick passes is the first region with pick < weight, or the
-            // last region if none of the others qualifies.
+            // decrease, so the count of regions before the last whose
+            // weight the pick is not under is the index of the first
+            // region with pick < weight, or the last region's if none
+            // of the others has one.
             const double pick = rng.next_double() * weight_sum_;
             std::size_t index = 0;
             for (std::size_t k = 0; k < last; ++k)
