@@ -431,6 +431,33 @@ BENCHMARK_CAPTURE(BM_SimThroughputAutoTiering, cc_1_16, "cc", 16)
     ->UseRealTime();
 
 void
+BM_SimThroughputScans(benchmark::State& state, const char* policy)
+{
+    // A page-order policy on cc at 1:16: MultiClock's two clock hands
+    // and TPP's LRU feed and trap scan walk the page ids on every tick.
+    // Gates those walks (DESIGN.md section 9, "Page-order scans"),
+    // which no ArtMem entry above reaches.
+    sim::RunSpec spec;
+    spec.workload = "cc";
+    spec.policy = policy;
+    spec.ratio = {1, 16};
+    spec.accesses = 2000000;
+    spec.seed = 42;
+    for (auto _ : state) {
+        const auto r = sim::run_experiment(spec);
+        benchmark::DoNotOptimize(r.fast_ratio);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(spec.accesses));
+}
+BENCHMARK_CAPTURE(BM_SimThroughputScans, multiclock_1_16, "multiclock")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_SimThroughputScans, tpp_1_16, "tpp")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void
 BM_SweepSharedStreams(benchmark::State& state)
 {
     // A Figure 7-shaped sweep, two apps x 8 systems x 6 ratios at one

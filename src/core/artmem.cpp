@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/cursor.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -441,8 +442,7 @@ ArtMem::demote_for_room(std::size_t need)
     std::size_t scanned = 0;
     while (demoted < need && scanned < pages) {
         const PageId page = cold_scan_cursor_;
-        cold_scan_cursor_ =
-            static_cast<PageId>((cold_scan_cursor_ + 1) % pages);
+        step_cursor(cold_scan_cursor_, pages);
         ++scanned;
         if (m.is_allocated(page) && m.tier_of_unchecked(page) == Tier::kFast &&
             lists_->where(page) == lru::ListId::kNone && !backed_off(page) &&

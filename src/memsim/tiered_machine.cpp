@@ -950,15 +950,6 @@ TieredMachine::stream(Tier tier, Bytes length)
     return delta;
 }
 
-bool
-TieredMachine::test_and_clear_accessed(PageId page)
-{
-    std::uint8_t& flags = flags_[page];
-    const bool was = (flags & kAccessedBit) != 0;
-    flags &= static_cast<std::uint8_t>(~kAccessedBit);
-    return was;
-}
-
 TieredMachine::Counters
 TieredMachine::take_window()
 {

@@ -498,7 +498,13 @@ class TieredMachine
     SimTimeNs stream(Tier tier, Bytes length);
 
     /** Read and clear the page's accessed bit. */
-    bool test_and_clear_accessed(PageId page);
+    bool test_and_clear_accessed(PageId page)
+    {
+        std::uint8_t& flags = flags_[page];
+        const bool was = (flags & kAccessedBit) != 0;
+        flags &= static_cast<std::uint8_t>(~kAccessedBit);
+        return was;
+    }
 
     /** Read the accessed bit without clearing. */
     bool accessed(PageId page) const

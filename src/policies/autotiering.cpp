@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/cursor.hpp"
+
 namespace artmem::policies {
 
 void
@@ -56,7 +58,7 @@ AutoTiering::on_tick(SimTimeNs now)
                                     throttle_.tick()));
     for (std::size_t i = 0; i < window; ++i) {
         const PageId page = scan_cursor_;
-        scan_cursor_ = static_cast<PageId>((scan_cursor_ + 1) % pages);
+        step_cursor(scan_cursor_, pages);
         if (m.is_allocated(page))
             m.set_trap(page);
     }
@@ -109,9 +111,10 @@ AutoTiering::find_cold_fast_page()
         // A walk that examined victim_scan pages stops just past the
         // last one; with fewer fast pages it went full circle back to
         // the cursor.
-        if (examined == config_.victim_scan)
-            victim_cursor_ =
-                static_cast<PageId>((page + 1) % machine().page_count());
+        if (examined == config_.victim_scan) {
+            victim_cursor_ = page;
+            step_cursor(victim_cursor_, machine().page_count());
+        }
     }
     machine().charge_overhead(examined * config_.scan_cost_ns);
     if (on_victim_search_)

@@ -54,7 +54,7 @@ Memtis::on_interval(SimTimeNs now)
         if (!m.is_allocated(page))
             continue;
         const bool hot = bins_->count(page) >= threshold_;
-        const bool fast = m.tier_of(page) == memsim::Tier::kFast;
+        const bool fast = m.tier_of_unchecked(page) == memsim::Tier::kFast;
         if (hot && !fast)
             promote_.push_back(page);
         else if (!hot && fast)

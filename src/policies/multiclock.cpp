@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/cursor.hpp"
+
 namespace artmem::policies {
 
 void
@@ -22,9 +24,9 @@ MultiClock::sweep_slow_hand(std::size_t budget)
     std::size_t examined = 0;
     for (std::size_t i = 0; i < pages && examined < budget; ++i) {
         const PageId page = slow_hand_;
-        slow_hand_ = static_cast<PageId>((slow_hand_ + 1) % pages);
+        step_cursor(slow_hand_, pages);
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kSlow) {
+            m.tier_of_unchecked(page) != memsim::Tier::kSlow) {
             continue;
         }
         ++examined;
@@ -63,9 +65,9 @@ MultiClock::sweep_fast_hand(std::size_t budget)
     std::size_t examined = 0;
     for (std::size_t i = 0; i < pages && examined < budget; ++i) {
         const PageId page = fast_hand_;
-        fast_hand_ = static_cast<PageId>((fast_hand_ + 1) % pages);
+        step_cursor(fast_hand_, pages);
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
+            m.tier_of_unchecked(page) != memsim::Tier::kFast) {
             continue;
         }
         ++examined;

@@ -36,7 +36,7 @@ Nimble::on_interval(SimTimeNs now)
                 static_cast<std::uint8_t>(std::min(255, cold_streak_[page] + 1));
             hot_streak_[page] = 0;
         }
-        const bool fast = m.tier_of(page) == memsim::Tier::kFast;
+        const bool fast = m.tier_of_unchecked(page) == memsim::Tier::kFast;
         if (!fast && hot_streak_[page] >= config_.hot_rounds)
             promote_.push_back(page);
         else if (fast && cold_streak_[page] >= config_.hot_rounds)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/cursor.hpp"
 #include "util/logging.hpp"
 
 namespace artmem::tenancy {
@@ -72,7 +73,7 @@ TenantSet::fill(std::span<PageId> out)
     std::size_t idle_rounds = 0;
     while (produced < out.size() && idle_rounds < tenants_.size()) {
         Tenant& tenant = tenants_[turn_];
-        turn_ = (turn_ + 1) % tenants_.size();
+        step_cursor(turn_, tenants_.size());
         if (tenant.done) {
             ++idle_rounds;
             continue;

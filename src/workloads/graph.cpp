@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/cursor.hpp"
 #include "util/logging.hpp"
 
 namespace artmem::workloads {
@@ -112,7 +113,7 @@ GraphWorkload::fill(std::span<PageId> out)
     for (std::size_t i = 0; i < n; ++i) {
         if (rng_.next_bool(params_.seq_fraction)) {
             out[i] = seq_cursor_;
-            seq_cursor_ = (seq_cursor_ + 1) % page_count_;
+            step_cursor(seq_cursor_, page_count_);
         } else {
             out[i] = gather_target();
         }

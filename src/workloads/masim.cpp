@@ -15,9 +15,11 @@ Masim::Masim(MasimSpec spec, Bytes page_size, std::uint64_t seed)
         fatal("Masim: page_size must be positive");
     if (spec_.footprint == 0 || spec_.phases.empty())
         fatal("Masim '", spec_.name, "': footprint and phases required");
-    for (const auto& phase : spec_.phases) {
+    for (std::size_t i = 0; i < spec_.phases.size(); ++i) {
+        const MasimPhase& phase = spec_.phases[i];
         if (phase.accesses == 0 || phase.regions.empty())
             fatal("Masim '", spec_.name, "': empty phase");
+        double weight_sum = 0.0;
         for (const auto& r : phase.regions) {
             if (r.size == 0 || r.weight <= 0.0)
                 fatal("Masim '", spec_.name, "': degenerate region");
@@ -25,7 +27,13 @@ Masim::Masim(MasimSpec spec, Bytes page_size, std::uint64_t seed)
                 r.offset > spec_.footprint - r.size)
                 fatal("Masim '", spec_.name,
                       "': region exceeds footprint");
+            weight_sum += r.weight;
         }
+        // prepare_phase() sums the weights in the same order; an
+        // infinite sum would send every pick to the last region.
+        if (!std::isfinite(weight_sum))
+            fatal("Masim '", spec_.name, "': phase ", i,
+                  " region weights do not sum to a finite total");
         if (phase.accesses > UINT64_MAX - total_)
             fatal("Masim '", spec_.name,
                   "': phase accesses overflow a 64-bit total");

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "util/cursor.hpp"
 #include "util/rng.hpp"
 #include "workloads/generator.hpp"
 
@@ -74,7 +75,7 @@ class SequentialScan final : public AccessGenerator
             std::min<std::uint64_t>(budget, out.size()));
         for (std::size_t i = 0; i < n; ++i) {
             out[i] = cursor_;
-            cursor_ = (cursor_ + 1) % pages_;
+            step_cursor(cursor_, pages_);
         }
         emitted_ += n;
         return n;

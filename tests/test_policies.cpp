@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "policies/autonuma.hpp"
 #include "policies/autotiering.hpp"
 #include "policies/memtis.hpp"
@@ -374,6 +376,142 @@ TEST(Policies, MigrationConservation)
             << name;
         EXPECT_LE(fast_after, machine.capacity_pages(memsim::Tier::kFast))
             << name;
+    }
+}
+
+/**
+ * A workload over 97 pages (an odd count, so no walk's window divides
+ * the page space) whose 12-page hot set moves from the top of the
+ * address space to the middle and then to the bottom, so that every
+ * page-order cursor wraps many times (AutoNUMA's two walks alone visit
+ * about 25,800 pages, some 260 passes).
+ */
+workloads::MasimSpec
+wrap_spec()
+{
+    workloads::MasimSpec spec;
+    spec.name = "wrap";
+    spec.footprint = 97 * kPage;
+    for (const std::uint64_t hot : {85u, 40u, 0u}) {
+        workloads::MasimPhase phase;
+        phase.accesses = 300000;
+        phase.regions = {
+            {hot * kPage, 12 * kPage, 90.0, false},
+            {0, spec.footprint, 10.0, false},
+        };
+        spec.phases.push_back(phase);
+    }
+    return spec;
+}
+
+memsim::MachineConfig
+wrap_machine()
+{
+    memsim::MachineConfig cfg;
+    cfg.page_size = kPage;
+    cfg.address_space = 97 * kPage;
+    cfg.tiers[0].capacity = 24 * kPage;
+    cfg.tiers[1].capacity = 101 * kPage;
+    return cfg;
+}
+
+/**
+ * The policy under test, with scan rates and watermarks raised so that
+ * every page-order walk runs on 97 pages: the defaults' 1-4%
+ * watermarks round to zero free pages on a 24-page fast tier, and their
+ * per-tick windows to a page or two.
+ */
+std::unique_ptr<Policy>
+wrap_policy(std::string_view name)
+{
+    if (name == "autonuma") {
+        AutoNuma::Config config;
+        config.scan_fraction = 0.25;
+        config.free_watermark = 0.25;
+        return std::make_unique<AutoNuma>(config);
+    }
+    if (name == "tiering08") {
+        Tiering08::Config config;
+        config.scan_fraction = 0.25;
+        config.free_watermark = 0.25;
+        return std::make_unique<Tiering08>(config);
+    }
+    if (name == "multiclock") {
+        MultiClock::Config config;
+        config.hand_fraction = 0.25;
+        config.free_watermark = 0.25;
+        return std::make_unique<MultiClock>(config);
+    }
+    if (name == "tpp") {
+        Tpp::Config config;
+        config.scan_fraction = 0.25;
+        config.age_fraction = 0.25;
+        config.demotion_watermark = 0.25;
+        return std::make_unique<Tpp>(config);
+    }
+    if (name == "autotiering") {
+        AutoTiering::Config config;
+        config.scan_fraction = 0.25;
+        config.victim_scan = 5;
+        return std::make_unique<AutoTiering>(config);
+    }
+    return sim::make_policy(name, 42);
+}
+
+struct WrapGolden {
+    std::uint64_t runtime_ns;
+    double fast_ratio;
+    std::uint64_t promoted;
+    std::uint64_t demoted;
+    std::uint64_t exchanges;
+    std::uint64_t hint_faults;
+    std::uint64_t overhead_ns;
+};
+
+TEST(PageOrderScans, OddPageCountWrapsAreBitIdentical)
+{
+    // Values captured before the page-order walks lost their modulo
+    // step; the charged overhead pins each walk's visit count.
+    const std::map<std::string, WrapGolden> golden = {
+        {"memtis", {166657958ull, 0.60616222222222227, 36ull, 36ull, 0ull,
+                    0ull, 25220ull}},
+        {"autotiering", {262759490ull, 0.20146666666666666, 0ull, 0ull,
+                         62ull, 19660ull, 749360ull}},
+        {"tpp", {371076576ull, 0.35365111111111114, 2658ull, 2664ull, 0ull,
+                 18270ull, 342528ull}},
+        {"autonuma", {231867818ull, 0.3242322222222222, 0ull, 1ull, 0ull,
+                      16684ull, 206560ull}},
+        {"multiclock", {228595234ull, 0.29966222222222222, 1ull, 1ull, 0ull,
+                        0ull, 140736ull}},
+        {"nimble", {223205626ull, 0.32484888888888891, 0ull, 0ull, 0ull,
+                    0ull, 41710ull}},
+        {"tiering08", {749553280ull, 0.076456666666666673, 8535ull, 8538ull,
+                       0ull, 21517ull, 680120ull}},
+        {"artmem", {208426689ull, 0.40050333333333332, 16ull, 16ull, 0ull,
+                    0ull, 122948ull}},
+    };
+    std::vector<std::string_view> names = sim::baseline_names();
+    names.push_back("artmem");
+    for (const auto name : names) {
+        const auto it = golden.find(std::string(name));
+        ASSERT_NE(it, golden.end()) << "no golden values for " << name;
+        auto policy = wrap_policy(name);
+        workloads::Masim gen(wrap_spec(), kPage, 17);
+        memsim::TieredMachine machine(wrap_machine());
+        // Four times the default tick and decision rates: more walks per
+        // simulated second, so more wraps.
+        sim::EngineConfig engine;
+        engine.tick_interval = 250000;
+        engine.decision_interval = 2500000;
+        const auto r = sim::run_simulation(gen, *policy, machine, engine);
+        const WrapGolden& g = it->second;
+        EXPECT_EQ(r.runtime_ns, g.runtime_ns) << name;
+        EXPECT_EQ(r.fast_ratio, g.fast_ratio) << name;
+        EXPECT_EQ(r.totals.promoted_pages, g.promoted) << name;
+        EXPECT_EQ(r.totals.demoted_pages, g.demoted) << name;
+        EXPECT_EQ(r.totals.exchanges, g.exchanges) << name;
+        EXPECT_EQ(r.totals.hint_faults, g.hint_faults) << name;
+        EXPECT_EQ(r.totals.overhead_ns, g.overhead_ns) << name;
     }
 }
 

@@ -12,6 +12,7 @@
 #include "../bench/bench_common.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
+#include "util/cursor.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -106,6 +107,37 @@ TEST(ByteLiterals, ScaleCorrectly)
     EXPECT_EQ(2_GiB, 2ull * 1024 * 1024 * 1024);
     EXPECT_EQ(1_ms, 1000000ull);
     EXPECT_EQ(2_s, 2000000000ull);
+}
+
+TEST(StepCursor, LastPositionWrapsToZero)
+{
+    PageId page = 96;
+    step_cursor(page, std::size_t{97});
+    EXPECT_EQ(page, 0u);
+    step_cursor(page, std::size_t{97});
+    EXPECT_EQ(page, 1u);
+}
+
+TEST(StepCursor, OnePageStaysAtZero)
+{
+    PageId page = 0;
+    for (int i = 0; i < 3; ++i) {
+        step_cursor(page, std::size_t{1});
+        EXPECT_EQ(page, 0u);
+    }
+}
+
+TEST(StepCursor, FullPassMatchesModuloAndReturnsToStart)
+{
+    constexpr std::size_t kPages = 97;
+    std::size_t cursor = 40;
+    std::size_t reference = 40;
+    for (std::size_t i = 0; i < kPages; ++i) {
+        step_cursor(cursor, kPages);
+        reference = (reference + 1) % kPages;
+        ASSERT_EQ(cursor, reference) << "step " << i;
+    }
+    EXPECT_EQ(cursor, 40u);
 }
 
 TEST(Zipf, RankZeroMostPopular)

@@ -293,6 +293,23 @@ TEST(Masim, PhaseAccessSumOverflowIsFatal)
                 "phase accesses overflow a 64-bit total");
 }
 
+TEST(Masim, NonFinitePhaseWeightSumIsFatal)
+{
+    // Each weight is finite, but phase 1's two sum to infinity.
+    MasimSpec spec;
+    spec.footprint = 64ull << 20;
+    spec.phases.push_back(
+        {.accesses = 10, .regions = {{.size = 64ull << 20, .weight = 1.0}}});
+    spec.phases.push_back(
+        {.accesses = 10,
+         .regions = {{.size = 32ull << 20, .weight = 1e308},
+                     {.offset = 32ull << 20,
+                      .size = 32ull << 20,
+                      .weight = 1e308}}});
+    EXPECT_EXIT(Masim(spec, kPage, 1), ::testing::ExitedWithCode(1),
+                "phase 1 region weights do not sum to a finite total");
+}
+
 TEST(Masim, ParseSpecRoundTrip)
 {
     const auto cfg = KvConfig::parse(
